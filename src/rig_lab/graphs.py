@@ -166,19 +166,27 @@ def graph_to_text(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_row(line: str, count: int, what: str) -> list[int]:
+    """The `count` integer tokens of one text line, or a ValidationError."""
+    tokens = line.split()
+    if len(tokens) != count:
+        raise ValidationError(f"{what} needs {count} integers: {line!r}")
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValidationError(f"{what} has a non-integer token: {line!r}") from None
+
+
 def graph_from_text(text: str) -> SimpleGraph:
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise ValidationError("empty edge-list document")
-    head = rows[0].split()
-    if len(head) != 2:
-        raise ValidationError(f"bad edge-list header: {rows[0]!r}")
-    n, m_edges = int(head[0]), int(head[1])
+    n, m_edges = _int_row(rows[0], 2, "edge-list header")
     if len(rows) - 1 != m_edges:
         raise ValidationError(f"header promises {m_edges} edges, found {len(rows) - 1}")
     pairs = []
     for ln in rows[1:]:
-        u, v = (int(tok) for tok in ln.split())
+        u, v = _int_row(ln, 2, "edge line")
         if not u < v:
             raise ValidationError(f"edge line must satisfy u < v: {ln!r}")
         pairs.append((u, v))
@@ -195,11 +203,8 @@ def hypergraph_from_text(text: str) -> UniformHypergraph:
     rows = [ln for ln in text.splitlines() if ln.strip()]
     if not rows:
         raise ValidationError("empty hypergraph document")
-    head = rows[0].split()
-    if len(head) != 3:
-        raise ValidationError(f"bad hypergraph header: {rows[0]!r}")
-    n, arity, count = (int(tok) for tok in head)
+    n, arity, count = _int_row(rows[0], 3, "hypergraph header")
     if len(rows) - 1 != count:
         raise ValidationError(f"header promises {count} hyperedges, found {len(rows) - 1}")
-    hes = [tuple(int(tok) for tok in ln.split()) for ln in rows[1:]]
+    hes = [tuple(_int_row(ln, arity, "hyperedge line")) for ln in rows[1:]]
     return UniformHypergraph(n, arity, frozenset(hes))

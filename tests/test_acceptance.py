@@ -298,3 +298,22 @@ def test_criterion_10_reproducibility(tmp_path):
            f"thread counts 1/2/3: {identical}")
     assert identical
     assert same_render
+
+
+def test_criterion_11_k_connectivity_zero_one():
+    start = time.monotonic()
+    freqs = {}
+    for k in (2, 3):
+        config = ExperimentConfig(
+            theorem=f"k-connectivity({k})", n=300, m=300, c_grid=(-4.0, 4.0),
+            trials_per_point=100, master_seed=MASTER, experiment_id=f"accept-kconn{k}")
+        result = run_sweep(config)
+        freqs[k] = {s.c: s.frequency for s in result.summaries}
+    elapsed = time.monotonic() - start
+    ok = all(f[4.0] >= 0.85 and f[-4.0] <= 0.15 for f in freqs.values())
+    report(11, ok, elapsed, "; ".join(
+        f"k={k}: freq(c=+4)={f[4.0]:.3f} (>=0.85), freq(c=-4)={f[-4.0]:.3f} (<=0.15)"
+        for k, f in freqs.items()))
+    for f in freqs.values():
+        assert f[4.0] >= 0.85
+        assert f[-4.0] <= 0.15

@@ -238,6 +238,16 @@ def test_cli_stats_and_gen(tmp_path, capsys):
     assert "min_degree" in doc
 
 
+@pytest.mark.parametrize("edge_line", ["1 x", "0 1 2"])
+def test_cli_check_rejects_malformed_edge_list(tmp_path, capsys, edge_line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"3 1\n{edge_line}\n")
+    rc = cli.main(["check", "--property", "kconn", "--k", "2", "--input", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     cfg = {
         "theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],

@@ -130,6 +130,18 @@ def test_edge_list_rejects_malformed():
         graph_from_text("3 1\n2 1\n")  # u >= v
     with pytest.raises(ValidationError):
         graph_from_text("3 2\n0 1\n")  # count mismatch
+    with pytest.raises(ValidationError):
+        graph_from_text("3 1\n1 x\n")  # non-integer token
+    with pytest.raises(ValidationError):
+        graph_from_text("3 1\n0 1 2\n")  # three tokens on an edge line
+    with pytest.raises(ValidationError):
+        graph_from_text("3 one\n0 1\n")  # non-integer header
+    with pytest.raises(ValidationError):
+        hypergraph_from_text("4 3 1\n0 1 x\n")
+    with pytest.raises(ValidationError):
+        hypergraph_from_text("4 3 1\n0 1\n")  # too few tokens for the arity
+    with pytest.raises(ValidationError):
+        hypergraph_from_text("4 three 1\n0 1 2\n")
 
 
 def test_features_of_inverse_view():

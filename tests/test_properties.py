@@ -18,10 +18,15 @@ from rig_lab import (
     structure_audit,
     vertex_connectivity,
 )
-from rig_lab.properties import is_biconnected
+from rig_lab.experiments import ExperimentConfig, plan_point
+from rig_lab.graphs import project_rig
+from rig_lab.properties import _scan_first_certificate, is_biconnected
+from rig_lab.sampling import sample_rig
 from conftest import random_graph
 from oracles import (
     oracle_edge_connectivity,
+    oracle_edge_k_connected,
+    oracle_flow_k_connected,
     oracle_hamiltonian,
     oracle_has_perfect_matching,
     oracle_is_connected,
@@ -91,6 +96,8 @@ def test_connectivity_values_match_oracles():
         g = random_graph(rng, n, float(rng.uniform(0.2, 0.95)))
         assert vertex_connectivity(g) == oracle_vertex_connectivity(n, g.edges)
         assert edge_connectivity(g) == oracle_edge_connectivity(n, g.edges)
+        for k in (1, 2, 3):
+            assert is_k_connected(g, k, mode="edge") == oracle_edge_k_connected(n, g.edges, k)
 
 
 def test_biconnected_agrees_with_flow_checker():
@@ -98,7 +105,81 @@ def test_biconnected_agrees_with_flow_checker():
     for _ in range(300):
         n = int(rng.integers(3, 30))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
-        assert is_biconnected(g) == is_k_connected(g, 2), (n, sorted(g.edges))
+        expected = oracle_flow_k_connected(n, g.edges, 2)
+        assert is_biconnected(g) == expected, (n, sorted(g.edges))
+        assert is_k_connected(g, 2) == expected, (n, sorted(g.edges))
+
+
+def harary(k, n):
+    """Harary graph H_{k,n}: k-connected with the fewest edges, ceil(kn/2)."""
+    edges = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
+    if k % 2:
+        edges += [(i, (i + (n + 1) // 2) % n) for i in range((n + 1) // 2)]
+    return SimpleGraph.from_edges(n, edges)
+
+
+def shared_cliques(size, shared):
+    """Two copies of K_size that share `shared` vertices."""
+    second = list(range(size - shared, 2 * size - shared))
+    edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    edges += [(u, v) for i, u in enumerate(second) for v in second[i + 1:] if v >= size]
+    return SimpleGraph.from_edges(2 * size - shared, edges)
+
+
+def adversarial_graphs(k):
+    """(name, graph, k it is tested at, k-connected?) around the k boundary."""
+    pendant = SimpleGraph(k + 9, complete(k + 8).edges | {(v, k + 8) for v in range(k - 1)})
+    apart = SimpleGraph.from_edges(2 * k + 4, [(u + off, v + off) for off in (0, k + 2)
+                                               for u, v in complete(k + 2).edges])
+    cases = [
+        ("K_{k+2} twice, sharing k-1", shared_cliques(k + 2, k - 1), k, False),
+        ("K_{k+2} twice, sharing k", shared_cliques(k + 2, k), k, True),
+        ("one vertex of degree k-1", pendant, k, False),
+        ("disconnected", apart, k, False),
+        ("K_{k+1}", complete(k + 1), k, True),
+        ("K_k", complete(k), k, False),
+    ]
+    for n in (2 * k + 5, 2 * k + 6, 40):
+        cases.append((f"H_(k,{n})", harary(k, n), k, True))
+        cases.append((f"H_(k,{n}) at k+1", harary(k, n), k + 1, False))
+    return cases
+
+
+def rig_graphs(k):
+    """Projected random intersection graphs near the k-connectivity threshold.
+
+    At these sizes a "no" comes from the min-degree obstruction; flow cuts
+    below k come from the adversarial graphs.
+    """
+    for c in (-1.0, 1.0):
+        for n in (40, 60, 80):
+            config = ExperimentConfig(theorem=f"k-connectivity({k})", n=n, m=n, c_grid=(c,),
+                                      trials_per_point=1, master_seed=41)
+            point = plan_point(config, c)
+            for trial in range(2):
+                seed = Seed(41).child("kconn", k, f"{c:+}", n, trial)
+                yield project_rig(sample_rig(n, point.probabilities, seed))
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_k_connected_matches_flow_oracle(k):
+    for g in rig_graphs(k):
+        assert is_k_connected(g, k) == oracle_flow_k_connected(g.n, g.edges, k), (g.n, k)
+    for name, g, kk, expected in adversarial_graphs(k):
+        assert oracle_flow_k_connected(g.n, g.edges, kk) == expected, name
+        assert is_k_connected(g, kk) == expected, name
+
+
+@pytest.mark.parametrize("k", (2, 3, 4))
+def test_scan_first_certificate_preserves_k_connectivity(k):
+    graphs = list(rig_graphs(k)) + [g for _, g, kk, _ in adversarial_graphs(k) if kk == k]
+    for g in graphs:
+        cert = _scan_first_certificate(g.adjacency(), g.n, k)
+        edges = {(u, v) for u in range(g.n) for v in cert[u] if u < v}
+        assert all(u in cert[v] for u, v in edges)
+        assert edges <= g.edges
+        assert len(edges) <= k * (g.n - 1)
+        assert oracle_flow_k_connected(g.n, edges, k) == oracle_flow_k_connected(g.n, g.edges, k)
 
 
 def test_whitney_inequality():
