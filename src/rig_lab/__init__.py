@@ -6,6 +6,8 @@ per-trial certificates, exact graph property checkers, and a reproducible
 Monte Carlo sweep harness.
 """
 
+__version__ = "0.1.0"  # set before the submodules load: experiments reads it
+
 from .errors import (
     DimensionMismatch,
     OutOfRangeError,
@@ -87,4 +89,3 @@ from .experiments import (
     wilson_interval,
 )
 
-__version__ = "0.1.0"

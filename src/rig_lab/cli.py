@@ -46,12 +46,28 @@ EXIT_PLANNING = 2
 EXIT_IO = 3
 
 
+def _load_json(path: str, shape: tuple[type, ...], what: str):
+    """The JSON document in `path`; ValidationError unless it parses to one of `shape`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, shape):
+        expected = " or ".join(t.__name__ for t in shape)
+        raise ValidationError(f"{what} {path} holds a JSON {type(doc).__name__}, not {expected}")
+    return doc
+
+
 def _load_probabilities(args, m_flag="m", p_flag="p", profile_flag="profile") -> FeatureProbabilities:
     profile_path = getattr(args, profile_flag, None)
     if profile_path:
-        with open(profile_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        values = doc["values"] if isinstance(doc, dict) else doc
+        doc = _load_json(profile_path, (dict, list), "profile")
+        values = doc.get("values") if isinstance(doc, dict) else doc
+        if not isinstance(values, list) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ValidationError(f"profile {profile_path} needs a list of numbers, "
+                                  f"bare or under a \"values\" key")
         return FeatureProbabilities(tuple(float(v) for v in values))
     m = getattr(args, m_flag)
     p = getattr(args, p_flag)
@@ -70,8 +86,7 @@ def _merge_gen_config(args) -> None:
         if args.model is None or args.n is None:
             raise ValidationError("gen needs --model and --n (flags or --config)")
         return
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.config, (dict,), "gen config")
     unknown = set(doc) - set(_GEN_PARAMS)
     if unknown:
         raise ValidationError(f"unknown gen config fields: {sorted(unknown)}")
@@ -240,8 +255,7 @@ def _cmd_poisson_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.config, (dict,), "sweep config")
     if args.seed is not None:
         doc["master_seed"] = args.seed
     config = ExperimentConfig.from_dict(doc)

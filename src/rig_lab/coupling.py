@@ -27,8 +27,16 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from .errors import ValidationError
-from .graphs import RigInstance, SimpleGraph, clique_edges, is_subgraph
-from .sampling import FeatureProbabilities, Seed, draw_subsets, sample_subset
+from .graphs import RigInstance, SimpleGraph, clique_edges
+from .sampling import (
+    FeatureProbabilities,
+    Seed,
+    _as_rng,
+    draw_subsets,
+    sample_g_star_poisson,
+    sample_h_independent,
+    sample_subset,
+)
 from .thresholds import summary_stats
 
 
@@ -105,13 +113,13 @@ def couple_feature(size: int, odd: int, n: int, seed) -> tuple[SimpleGraph, froz
     expected_odd = (size % 2) if size >= 2 else 0
     if odd != expected_odd:
         raise ValidationError(f"odd flag {odd} does not match parity of size {size}")
-    rng = seed.rng() if isinstance(seed, Seed) else seed
+    rng = _as_rng(seed)
     if size == 0:
-        return SimpleGraph(n, frozenset()), frozenset()
+        return SimpleGraph(n), frozenset()
     pairs = draw_subsets(n, 2, (size - 3 * odd) // 2, rng)
     triples = draw_subsets(n, 3, odd, rng) if odd else []
     edges, members = _assemble_feature(size, odd, n, pairs, triples, rng)
-    return SimpleGraph(n, frozenset(edges)), members
+    return SimpleGraph(n, edges), members
 
 
 @dataclass(frozen=True)
@@ -197,13 +205,9 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         coupled_edges.update(edges)
         rig_edges.update(feature_clique)
 
-    rig = SimpleGraph(n, frozenset(rig_edges))
-    prefix_edges: set[tuple[int, int]] = set()
-    for sub in pair_stream[:poisson_pairs]:
-        prefix_edges.add(sub)
+    prefix_edges = set(pair_stream[:poisson_pairs])
     for sub in triple_stream[:poisson_triples]:
         prefix_edges.update(clique_edges(sub))
-    prefix = SimpleGraph(n, frozenset(prefix_edges))
 
     sum_active = sum(dec.active_sizes)
     guards = {
@@ -212,7 +216,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         "size_concentration_ok": abs(sum_active - s1) <= omega * sqrt_s1,
     }
     return CouplingReport(
-        contained=is_subgraph(prefix, rig),
+        contained=prefix_edges <= rig_edges,
         per_feature_contained=per_feature_ok,
         guard_events=guards,
         pair_draws=dec.pair_draws,
@@ -220,9 +224,9 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         active_size_sum=sum_active,
         poisson_pairs=poisson_pairs,
         poisson_triples=poisson_triples,
-        rig_edge_count=len(rig.edges),
+        rig_edge_count=len(rig_edges),
         coupled_edge_count=len(coupled_edges),
-        prefix_edge_count=len(prefix.edges),
+        prefix_edge_count=len(prefix_edges),
         regime_infeasible=regime_infeasible,
         omega=omega,
     )
@@ -375,8 +379,6 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
     """
     if trials < 1000:
         raise ValidationError(f"need at least 1000 trials, got {trials}")
-    from .sampling import sample_g_star_poisson, sample_h_independent
-
     total = math.comb(n, arity)
     q = -math.expm1(-lam / total) if total > 0 else 0.0
     counts_a: dict[int, int] = {}
@@ -406,14 +408,12 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
     sigma = math.sqrt(q * (1.0 - q) / trials) if 0.0 < q < 1.0 else float("inf")
 
     def max_z(freq: dict) -> float:
-        # absent hyperedges count as frequency 0; only enumerable when the
-        # subset universe is small
+        # z-scores are reported for universes of at most 200k subsets; every
+        # absent hyperedge has frequency 0, so together they add the one term q/sigma
         if sigma == float("inf") or total > 200_000:
             return 0.0
-        worst = 0.0
-        for he_count in _all_frequencies(freq, total):
-            worst = max(worst, abs(he_count / trials - q) / sigma)
-        return worst
+        worst = max((abs(count / trials - q) / sigma for count in freq.values()), default=0.0)
+        return max(worst, q / sigma) if len(freq) < total else worst
 
     return PoissonizationReport(
         trials=trials,
@@ -429,13 +429,6 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
         mean_count_independent=sum_b / trials,
         histogram=hist,
     )
-
-
-def _all_frequencies(freq: dict, total: int):
-    """Observed presence counts for every possible hyperedge, including absent ones."""
-    yield from freq.values()
-    for _ in range(total - len(freq)):
-        yield 0
 
 
 def _chi2_homogeneity(hist: dict[int, tuple[int, int]],

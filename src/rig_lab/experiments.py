@@ -17,11 +17,13 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from . import __version__
 from .errors import OutOfRangeError, PlanningError, ValidationError
 from .graphs import SimpleGraph, project_rig
 from .properties import (
@@ -42,8 +44,6 @@ from .thresholds import (
     refined_threshold_rhs,
     summary_stats,
 )
-
-PACKAGE_VERSION = "0.1.0"
 
 RESULTS_HEADER = ("theorem", "c", "n", "m", "trial", "seed", "verdict", "unknown_flag")
 
@@ -108,6 +108,17 @@ class ExperimentConfig:
     experiment_id: str = "sweep"
 
     def __post_init__(self):
+        for name in ("n", "m", "trials_per_point", "hc_budget", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValidationError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
+        if not isinstance(self.c_grid, (list, tuple)) or not all(
+                isinstance(c, numbers.Real) and not isinstance(c, bool) for c in self.c_grid):
+            raise ValidationError(f"c_grid must be a list of numbers, got {self.c_grid!r}")
+        if not isinstance(self.profile, dict):
+            raise ValidationError(f"profile must be an object, got {self.profile!r}")
         parse_law_tag(self.theorem)
         if self.n < 2 or self.m < 1:
             raise ValidationError("need n >= 2 and m >= 1")
@@ -140,7 +151,6 @@ class ExperimentConfig:
         if missing:
             raise ValidationError(f"missing config fields: {sorted(missing)}")
         kwargs = dict(doc)
-        kwargs["c_grid"] = tuple(doc["c_grid"])
         if "profile" in kwargs and kwargs["profile"] is None:
             del kwargs["profile"]
         if "omega" in kwargs and kwargs["omega"] is not None:
@@ -163,7 +173,7 @@ class ExperimentConfig:
             "omega": self.omega if self.omega is not None else default_omega(n_vertices),
             "hc_budget": self.hc_budget,
             "experiment_id": self.experiment_id,
-            "version": PACKAGE_VERSION,
+            "version": __version__,
         }
 
 

@@ -1,9 +1,11 @@
 """Immutable graph, hypergraph, and intersection-instance value types.
 
-Vertices and features are dense 0-based integers.  Edges are stored
-canonically (smaller endpoint first) so that equality is plain set
-equality and serialization is deterministic.  All types are frozen;
-operations return new values.
+Vertices and features are dense 0-based integers.  A SimpleGraph is stored
+once, as a symmetric CSR adjacency (``indptr``, ``indices``) with sorted,
+duplicate-free rows, so equality is array equality and the upper triangle,
+read row by row, is the lexicographic edge order of the text format.  The
+``edges`` frozenset of (u, v) pairs with u < v is a view derived from the
+arrays.  All types are frozen; operations return new values.
 """
 
 from __future__ import annotations
@@ -11,57 +13,103 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+from scipy.sparse import coo_array, csr_array, triu
+
 from .errors import DimensionMismatch, ValidationError
 
 Edge = tuple[int, int]
 
 
-def _canon_edge(u: int, v: int) -> Edge:
-    if u == v:
-        raise ValidationError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
-@dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph on vertices {0, ..., n-1}."""
+    """Undirected simple graph on vertices {0, ..., n-1}.
 
-    n: int
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    Built from any iterable of (u, v) pairs, in either orientation and with
+    repeats.  Neighbors of v are ``indices[indptr[v]:indptr[v + 1]]`` in
+    increasing order; both arrays are read-only int64.
+    """
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"vertex count must be nonnegative, got {self.n}")
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValidationError(f"edge ({u}, {v}) invalid for n={self.n}")
+    __slots__ = ("n", "indptr", "indices")
+
+    def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise ValidationError(f"vertex count must be nonnegative, got {n}")
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        loops = pairs[:, 0] == pairs[:, 1]
+        if loops.any():
+            raise ValidationError(f"self-loop at vertex {pairs[loops.argmax(), 0]}")
+        outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if outside.any():
+            u, v = pairs[outside.argmax()]
+            raise ValidationError(f"edge ({u}, {v}) invalid for n={n}")
+        upper = (pairs.min(axis=1), pairs.max(axis=1))
+        self._assign(coo_array((np.ones(len(pairs)), upper), shape=(n, n)))
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "SimpleGraph":
         """Build from an iterable of (u, v) pairs in any order."""
-        return cls(n, frozenset(_canon_edge(u, v) for u, v in pairs))
+        return cls(n, pairs)
+
+    @classmethod
+    def _from_matrix(cls, matrix) -> "SimpleGraph":
+        """Graph of the nonzero pattern above the diagonal of a square sparse matrix."""
+        g = cls.__new__(cls)
+        g._assign(matrix)
+        return g
+
+    def _assign(self, matrix) -> None:
+        upper = triu(matrix, k=1, format="csr")
+        a = (upper + upper.T).tocsr()
+        a.sum_duplicates()  # sorts every row
+        indptr, indices = a.indptr.astype(np.int64), a.indices.astype(np.int64)
+        indptr.flags.writeable = indices.flags.writeable = False
+        for name, value in (("n", a.shape[0]), ("indptr", indptr), ("indices", indices)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SimpleGraph is immutable; cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SimpleGraph):
+            return NotImplemented
+        return (self.n == other.n and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.indices.tobytes()))
 
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _canon_edge(u, v) in self.edges
+        return bool((self.indices[self.indptr[u]:self.indptr[u + 1]] == v).any())
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tails, heads): every edge once in each direction, in row-major order."""
+        return np.repeat(np.arange(self.n), self.degrees()), self.indices
+
+    def edge_list(self) -> list[Edge]:
+        """Every edge once as (u, v) with u < v, in lexicographic order."""
+        tails, heads = self.arcs()
+        upper = tails < heads
+        return list(zip(tails[upper].tolist(), heads[upper].tolist()))
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.edge_list())
 
     def adjacency(self) -> list[set[int]]:
-        """Adjacency sets, rebuilt on each call (the graph itself stays frozen)."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        """Neighbor sets for O(1) membership tests, built from the CSR rows on each call."""
+        ptr, flat = self.indptr.tolist(), self.indices.tolist()
+        return [set(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n)]
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+    def matrix(self) -> csr_array:
+        """The adjacency as a scipy sparse array with unit entries."""
+        return csr_array((np.ones(len(self.indices)), self.indices, self.indptr),
+                         shape=(self.n, self.n))
 
 
 @dataclass(frozen=True)
@@ -123,21 +171,25 @@ def clique_edges(vertices) -> set[Edge]:
     return set(itertools.combinations(sorted(vertices), 2))
 
 
+def _clique_union(n: int, vertex_sets) -> SimpleGraph:
+    """Union of the cliques on the vertex sets: the off-diagonal pattern of
+    B B^T, where B is the n x len(vertex_sets) incidence."""
+    sizes = [len(s) for s in vertex_sets]
+    members = np.fromiter(itertools.chain.from_iterable(vertex_sets), dtype=np.int64,
+                          count=sum(sizes))
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    incidence = csr_array((np.ones(len(members)), (members, owners)), shape=(n, len(sizes)))
+    return SimpleGraph._from_matrix(incidence @ incidence.T)
+
+
 def project_hypergraph(h: UniformHypergraph) -> SimpleGraph:
     """Graph whose edges are the pairs covered by at least one hyperedge."""
-    edges: set[Edge] = set()
-    for he in h.hyperedges:
-        edges.update(itertools.combinations(he, 2))
-    return SimpleGraph(h.n, frozenset(edges))
+    return _clique_union(h.n, h.hyperedges)
 
 
 def project_rig(r: RigInstance) -> SimpleGraph:
-    """Intersection graph of a feature assignment: the union of cliques on the feature sets."""
-    edges: set[Edge] = set()
-    for s in r.feature_sets:
-        if len(s) >= 2:
-            edges.update(clique_edges(s))
-    return SimpleGraph(r.n, frozenset(edges))
+    """Intersection graph of a feature assignment: vertices sharing a feature are adjacent."""
+    return _clique_union(r.n, r.feature_sets)
 
 
 def union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
@@ -161,8 +213,8 @@ def is_subgraph(a: SimpleGraph, b: SimpleGraph) -> bool:
 
 
 def graph_to_text(g: SimpleGraph) -> str:
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines = [f"{g.n} {g.edge_count()}"]
+    lines.extend(f"{u} {v}" for u, v in g.edge_list())
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,13 @@
 """Exact and budgeted decision procedures for graph properties.
 
-* minimum degree
-* k-connectivity (vertex or edge).  Vertex mode: graph search for k = 1,
-  the linear Hopcroft-Tarjan cut-vertex test for k = 2, and for k >= 3 a
-  scan-first sparse certificate of at most k(n-1) edges, then Dinic
-  max-flow (scipy) on its vertex-split network over the Esfahanian-Hakimi
-  pair family, stopping at the first pair below k.  Edge mode and the
-  exact connectivity values use the same max-flow on the whole graph.
+* minimum degree, from the CSR row lengths of the graph
+* k-connectivity (vertex or edge).  Vertex mode: ``scipy.sparse.csgraph``
+  connected components for k = 1, the linear Hopcroft-Tarjan cut-vertex
+  test for k = 2, and for k >= 3 the exact vertex connectivity of a
+  scan-first sparse certificate of at most k(n-1) edges: Dinic max-flow
+  (scipy) on its vertex-split network over the Esfahanian-Hakimi pair
+  family.  Edge mode and the exact connectivity values use the same
+  max-flow on the whole graph.
 * perfect matching, by maximum cardinality matching with blossom contraction
 * Hamiltonicity, by a three-stage pipeline: exact necessary conditions,
   a rotation-extension heuristic (Yes answers only), and an exact phase
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import connected_components, dijkstra, maximum_flow
 
 from .errors import ValidationError
-from .graphs import SimpleGraph
-from .sampling import Seed, sample_subset
+from .graphs import Edge, SimpleGraph
+from .sampling import Seed, _as_rng, sample_subset
 
 DEFAULT_HC_BUDGET = 200_000
 
@@ -36,25 +37,12 @@ DEFAULT_HC_BUDGET = 200_000
 def min_degree(g: SimpleGraph) -> int:
     if g.n < 1:
         raise ValidationError("min_degree needs at least one vertex")
-    return min(g.degrees())
+    return int(g.degrees().min())
 
 
 def is_connected(g: SimpleGraph) -> bool:
-    if g.n == 0:
-        return True
-    adj = g.adjacency()
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return g.n == 0 or connected_components(g.matrix(), directed=False,
+                                            return_labels=False) == 1
 
 
 # --- connectivity by max-flow ------------------------------------------------
@@ -66,28 +54,25 @@ def _unit_network(size: int, tails, heads) -> csr_array:
     return csr_array((caps, (tails, heads)), shape=(size, size))
 
 
-def _split_network(adj: list[set[int]], n: int) -> csr_array:
+def _split_network(g: SimpleGraph) -> csr_array:
     """Vertex-split digraph: v becomes 2v -> 2v+1 (its unit budget), and each
     edge {u, v} becomes the arcs 2u+1 -> 2v and 2v+1 -> 2u."""
-    tails = [2 * v for v in range(n)]
-    heads = [2 * v + 1 for v in range(n)]
-    for u in range(n):
-        for v in adj[u]:
-            tails.append(2 * u + 1)
-            heads.append(2 * v)
-    return _unit_network(2 * n, tails, heads)
+    tails, heads = g.arcs()
+    budget = 2 * np.arange(g.n)
+    return _unit_network(2 * g.n, np.concatenate((budget, 2 * tails + 1)),
+                         np.concatenate((budget + 1, 2 * heads)))
 
 
 def _max_flow(net: csr_array, s: int, t: int) -> int:
     return int(maximum_flow(net, s, t).flow_value)
 
 
-def _vertex_cut_family(adj: list[set[int]], n: int):
+def _vertex_cut_family(g: SimpleGraph):
     """Pairs covering some minimum cut: a min-degree vertex against its
     non-neighbors, plus non-adjacent pairs among its neighbors."""
-    deg = [len(a) for a in adj]
-    v0 = min(range(n), key=deg.__getitem__)
-    for u in range(n):
+    adj = g.adjacency()
+    v0 = int(g.degrees().argmin())
+    for u in range(g.n):
         if u != v0 and u not in adj[v0]:
             yield v0, u
     nbrs = sorted(adj[v0])
@@ -97,17 +82,17 @@ def _vertex_cut_family(adj: list[set[int]], n: int):
                 yield a, b
 
 
-def _scan_first_certificate(adj: list[set[int]], n: int, k: int) -> list[set[int]]:
+def _scan_first_certificate(g: SimpleGraph, k: int) -> SimpleGraph:
     """Union of k scan-first (BFS) forests, forest i spanning the edges that
     forests 1..i-1 left unused.  It has at most k(n-1) edges and is
     k-vertex-connected iff the input is (Cheriyan-Kao-Thurimella, SIAM J.
     Comput. 22, 1993)."""
-    rest = [set(a) for a in adj]
-    cert: list[set[int]] = [set() for _ in range(n)]
+    rest = g.adjacency()
+    cert: list[Edge] = []
     for _ in range(k):
-        seen = [False] * n
+        seen = [False] * g.n
         forest = []
-        for root in range(n):
+        for root in range(g.n):
             if seen[root]:
                 continue
             seen[root] = True
@@ -122,9 +107,8 @@ def _scan_first_certificate(adj: list[set[int]], n: int, k: int) -> list[set[int
         for v, w in forest:
             rest[v].discard(w)
             rest[w].discard(v)
-            cert[v].add(w)
-            cert[w].add(v)
-    return cert
+        cert += forest
+    return SimpleGraph(g.n, cert)
 
 
 def is_k_connected(g: SimpleGraph, k: int, mode: str = "vertex") -> bool:
@@ -137,13 +121,9 @@ def is_k_connected(g: SimpleGraph, k: int, mode: str = "vertex") -> bool:
             return is_connected(g)
         if k == 2:
             return is_biconnected(g)
-        adj = g.adjacency()
-        if min(len(a) for a in adj) < k:
+        if min_degree(g) < k:
             return False
-        cert = _scan_first_certificate(adj, g.n, k)
-        net = _split_network(cert, g.n)
-        return all(_max_flow(net, 2 * s + 1, 2 * t) >= k
-                   for s, t in _vertex_cut_family(cert, g.n))
+        return vertex_connectivity(_scan_first_certificate(g, k)) >= k
     if mode == "edge":
         return g.n >= 2 and edge_connectivity(g) >= k
     raise ValidationError(f"unknown mode {mode!r}")
@@ -153,10 +133,9 @@ def vertex_connectivity(g: SimpleGraph) -> int:
     """Exact vertex connectivity (n-1 for complete graphs)."""
     if g.n < 2:
         return 0
-    adj = g.adjacency()
-    net = _split_network(adj, g.n)
+    net = _split_network(g)
     best = g.n - 1
-    for s, t in _vertex_cut_family(adj, g.n):
+    for s, t in _vertex_cut_family(g):
         best = min(best, _max_flow(net, 2 * s + 1, 2 * t))
         if best == 0:
             break
@@ -166,11 +145,10 @@ def vertex_connectivity(g: SimpleGraph) -> int:
 def edge_connectivity(g: SimpleGraph) -> int:
     if g.n < 2:
         return 0
-    adj = g.adjacency()
-    v0 = min(range(g.n), key=lambda v: len(adj[v]))
-    # the undirected graph as a network with a unit arc each way per edge
-    net = _unit_network(g.n, [u for u in range(g.n) for _ in adj[u]], [v for a in adj for v in a])
-    best = len(adj[v0])
+    deg = g.degrees()
+    v0 = int(deg.argmin())
+    net = _unit_network(g.n, *g.arcs())  # a unit arc each way per edge
+    best = int(deg[v0])
     for u in range(g.n):
         if u != v0:
             best = min(best, _max_flow(net, v0, u))
@@ -251,10 +229,13 @@ def maximum_matching(g: SimpleGraph) -> list[int]:
     n = g.n
     adj = g.adjacency()
     match = [-1] * n
-    for u, v in sorted(g.edges):  # greedy warm start
-        if match[u] == -1 and match[v] == -1:
-            match[u] = v
-            match[v] = u
+    for u in range(n):  # greedy warm start over pairs u < v in lexicographic order
+        if match[u] == -1:
+            for v in g.indices[g.indptr[u]:g.indptr[u + 1]].tolist():
+                if u < v and match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+                    break
     for v in range(n):
         if match[v] == -1 and adj[v]:
             _find_augmenting_path(adj, n, match, v)
@@ -266,8 +247,7 @@ def has_perfect_matching(g: SimpleGraph) -> bool:
         return False
     if g.n == 0:
         return True
-    deg = g.degrees()
-    if min(deg) == 0:
+    if min_degree(g) == 0:
         return False
     match = maximum_matching(g)
     return all(p != -1 for p in match)
@@ -283,10 +263,11 @@ class HamiltonicityVerdict:
     effort: int
 
 
-def _is_hamilton_cycle(g: SimpleGraph, cycle) -> bool:
-    if cycle is None or len(cycle) != g.n or len(set(cycle)) != g.n:
+def _is_hamilton_cycle(adj: list[set[int]], cycle) -> bool:
+    n = len(adj)
+    if cycle is None or len(cycle) != n or len(set(cycle)) != n:
         return False
-    return all(g.has_edge(cycle[i], cycle[(i + 1) % g.n]) for i in range(g.n))
+    return all(cycle[(i + 1) % n] in adj[cycle[i]] for i in range(n))
 
 
 def _articulation_or_disconnected(adj: list[set[int]], n: int) -> bool:
@@ -336,30 +317,18 @@ def _articulation_or_disconnected(adj: list[set[int]], n: int) -> bool:
 
 def is_biconnected(g: SimpleGraph) -> bool:
     """Exact 2-connectivity in linear time: connected, n >= 3, no cut vertex."""
-    if g.n < 3:
+    if g.n < 3 or min_degree(g) < 2:
         return False
-    adj = g.adjacency()
-    if min(len(a) for a in adj) < 2:
-        return False
-    return not _articulation_or_disconnected(adj, g.n)
+    return not _articulation_or_disconnected(g.adjacency(), g.n)
 
 
-def _bipartite_parts(adj: list[set[int]], n: int) -> tuple[int, int] | None:
+def _bipartite_parts(g: SimpleGraph) -> tuple[int, int] | None:
     """Part sizes if bipartite, else None (graph assumed connected)."""
-    color = [-1] * n
-    color[0] = 0
-    q = deque([0])
-    sizes = [1, 0]
-    while q:
-        v = q.popleft()
-        for w in adj[v]:
-            if color[w] == -1:
-                color[w] = 1 - color[v]
-                sizes[color[w]] += 1
-                q.append(w)
-            elif color[w] == color[v]:
-                return None
-    return sizes[0], sizes[1]
+    side = dijkstra(g.matrix(), directed=False, indices=0, unweighted=True).astype(np.int64) % 2
+    tails, heads = g.arcs()
+    if (side[tails] == side[heads]).any():
+        return None
+    return g.n - int(side.sum()), int(side.sum())
 
 
 def _posa_search(adj: list[list[int]], adj_sets: list[set[int]], n: int,
@@ -618,39 +587,34 @@ def hamiltonicity(g: SimpleGraph, budget: int = DEFAULT_HC_BUDGET,
         raise ValidationError(f"Hamiltonicity needs at least 3 vertices, got n={g.n}")
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
-    adj_sets = g.adjacency()
     effort = 0
-    if min(len(a) for a in adj_sets) < 2:
+    if min_degree(g) < 2:
         return HamiltonicityVerdict("no", None, effort)
+    adj_sets = g.adjacency()
     if _articulation_or_disconnected(adj_sets, g.n):
         return HamiltonicityVerdict("no", None, effort)
-    parts = _bipartite_parts(adj_sets, g.n)
+    parts = _bipartite_parts(g)
     if parts is not None and parts[0] != parts[1]:
         return HamiltonicityVerdict("no", None, effort)
 
-    if isinstance(seed, Seed):
-        rng = seed.rng()
-    elif isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = Seed(0, ("hamiltonicity-default",)).rng()
+    rng = _as_rng(Seed(0, ("hamiltonicity-default",)) if seed is None else seed)
     adj_lists = [sorted(s) for s in adj_sets]
     cycle, used = _posa_search(adj_lists, adj_sets, g.n, rng, budget // 2)
     effort += used
-    if cycle is not None and _is_hamilton_cycle(g, cycle):
+    if cycle is not None and _is_hamilton_cycle(adj_sets, cycle):
         return HamiltonicityVerdict("yes", tuple(cycle), effort)
 
     if g.n <= 20:
         adj_masks = [sum(1 << w for w in adj_sets[v]) for v in range(g.n)]
         cyc = _held_karp(adj_masks, g.n)
-        if cyc is not None and _is_hamilton_cycle(g, cyc):
+        if cyc is not None and _is_hamilton_cycle(adj_sets, cyc):
             return HamiltonicityVerdict("yes", tuple(cyc), effort)
         return HamiltonicityVerdict("no", None, effort)
 
-    start = min(range(g.n), key=lambda v: len(adj_sets[v]))
+    start = int(g.degrees().argmin())
     cyc, completed, used = _backtrack_hc(adj_sets, g.n, start, max(0, budget - effort))
     effort += used
-    if cyc is not None and _is_hamilton_cycle(g, cyc):
+    if cyc is not None and _is_hamilton_cycle(adj_sets, cyc):
         return HamiltonicityVerdict("yes", tuple(cyc), effort)
     if completed:
         return HamiltonicityVerdict("no", None, effort)
@@ -697,42 +661,12 @@ class AuditReport:
     params: AuditParams
 
 
-def _close_low_degree_pairs(adj: list[set[int]], n: int, low: list[int]) -> int:
-    """Exact count of low-degree pairs at graph distance <= 5.
-
-    Dense inputs go through boolean reachability matrices (three matrix
-    products); sparse ones through truncated BFS per source.
-    """
+def _close_low_degree_pairs(g: SimpleGraph, low: list[int]) -> int:
+    """Exact count of pairs of distinct vertices in `low` at graph distance <= 5."""
     if len(low) < 2:
         return 0
-    if len(low) > 48 and n <= 4096:
-        reach1 = np.zeros((n, n), dtype=np.float32)
-        for v in range(n):
-            reach1[v, v] = 1.0
-            for w in adj[v]:
-                reach1[v, w] = 1.0
-        reach2 = (reach1 @ reach1 > 0).astype(np.float32)   # distance <= 2
-        reach3 = (reach2 @ reach1 > 0).astype(np.float32)   # distance <= 3
-        lows = np.asarray(low)
-        within5 = reach2[lows] @ reach3[lows].T > 0          # 2 + 3 split
-        return int(np.triu(within5, 1).sum())
-    low_set = set(low)
-    close = 0
-    for src in low:
-        dist = {src: 0}
-        frontier = [src]
-        for d in range(1, 6):
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-            if not frontier:
-                break
-        close += sum(1 for w in dist if w > src and w in low_set)
-    return close
+    dist = dijkstra(g.matrix(), directed=False, indices=low, unweighted=True, limit=5)
+    return int(np.triu(np.isfinite(dist[:, low]), 1).sum())
 
 
 def _neighborhood_size(adj: list[set[int]], members: set[int]) -> int:
@@ -766,14 +700,9 @@ def structure_audit(g: SimpleGraph, params: AuditParams, seed=None) -> AuditRepo
     n = g.n
     if n < 3:
         raise ValidationError(f"audit needs at least 3 vertices, got n={n}")
-    if isinstance(seed, Seed):
-        rng = seed.rng()
-    elif isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = Seed(0, ("audit-default",)).rng()
+    rng = _as_rng(Seed(0, ("audit-default",)) if seed is None else seed)
     adj = g.adjacency()
-    deg = [len(a) for a in adj]
+    deg = g.degrees().tolist()
     n_gamma = max(1, int(math.floor(n ** params.gamma)))
 
     def run_check(lo: int, hi: int, ok) -> AuditCheck:
@@ -807,7 +736,7 @@ def structure_audit(g: SimpleGraph, params: AuditParams, seed=None) -> AuditRepo
 
     low = [v for v in range(n) if deg[v] <= params.degree_cutoff]
     pairs = len(low) * (len(low) - 1) // 2
-    close = _close_low_degree_pairs(adj, n, low)
+    close = _close_low_degree_pairs(g, low)
     return AuditReport(
         expansion_double=double,
         expansion_vs_cap=vs_cap,

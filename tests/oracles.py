@@ -35,6 +35,14 @@ def connected_on(vertices, adj):
     return seen == vertices
 
 
+def oracle_project_rig(feature_sets):
+    """Intersection graph edges as the union of the cliques on the feature sets."""
+    edges = set()
+    for s in feature_sets:
+        edges.update(itertools.combinations(sorted(s), 2))
+    return frozenset(edges)
+
+
 def oracle_is_connected(n, edges):
     return connected_on(range(n), _adj_sets(n, edges))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -18,6 +19,8 @@ from rig_lab import (
     poissonization_test,
     project_rig,
     run_coupling_trial,
+    sample_g_star_poisson,
+    sample_h_independent,
     sample_rig,
 )
 from rig_lab.graphs import clique_edges
@@ -238,6 +241,38 @@ def test_poissonization_small_lambda_agrees():
     assert report.max_abs_z_draws < 3.5
     assert report.max_abs_z_independent < 3.5
     assert report.mean_count_draws == pytest.approx(20 * report.expected_probability, rel=0.05)
+
+
+def _brute_force_max_z(n, arity, lam, trials, seed):
+    """Per model, the largest per-hyperedge |z| over all C(n, arity) subsets
+    (absent ones at frequency 0) and the number of absent subsets."""
+    total = math.comb(n, arity)
+    q = -math.expm1(-lam / total)
+    sigma = math.sqrt(q * (1.0 - q) / trials)
+    samplers = (("poissonized", lambda rng: sample_g_star_poisson(n, arity, lam, rng)),
+                ("independent", lambda rng: sample_h_independent(n, arity, q, rng)))
+    out = []
+    for label, sample in samplers:
+        rng = seed.child(label).rng()
+        freq = Counter()
+        for _ in range(trials):
+            freq.update(sample(rng).hyperedges)
+        subsets = list(itertools.combinations(range(n), arity))
+        out.append((max(abs(freq[s] / trials - q) / sigma for s in subsets),
+                    sum(1 for s in subsets if s not in freq)))
+    return out
+
+
+@pytest.mark.parametrize("n, lam, trials", [(6, 3.0, 20_000), (8, 0.05, 1000)])
+def test_poissonization_max_z_matches_brute_force(n, lam, trials):
+    # the first row is criterion 2's config; in the second most hyperedges stay absent
+    seed = Seed(20260811).child("accept", "poisson")
+    report = poissonization_test(n, 3, lam, trials, seed)
+    (z_draws, absent_draws), (z_indep, absent_indep) = _brute_force_max_z(n, 3, lam, trials, seed)
+    assert report.max_abs_z_draws == z_draws
+    assert report.max_abs_z_independent == z_indep
+    if n == 8:
+        assert absent_draws > 0 and absent_indep > 0
 
 
 def test_poissonization_pair_model():

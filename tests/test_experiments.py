@@ -274,6 +274,46 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, text", [
+    ("stats", '{"values": [0.1, 0.2'),
+    ("stats", '"0.1 0.2"'),
+    ("stats", '{"vals": [0.1, 0.2]}'),
+    ("stats", '{"values": [0.1, "0.2"]}'),
+    ("stats", '[0.1, null]'),
+    ("gen", '{"model": "rig", "n": 10'),
+    ("gen", '["rig"]'),
+    ("sweep", '{"theorem": "connectivity", "n": 40'),
+    ("sweep", '[]'),
+])
+def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = {
+        "stats": ["stats", "--n", "10", "--profile", str(path)],
+        "gen": ["gen", "--config", str(path)],
+        "sweep": ["sweep", "--config", str(path), "--out", str(tmp_path / "out")],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", "100"), ("m", 40.0), ("trials_per_point", True), ("hc_budget", "1000"),
+    ("master_seed", -1), ("master_seed", 2**64), ("master_seed", 1.5),
+    ("c_grid", ["0.0"]), ("c_grid", [0.0, None]), ("profile", "homogeneous"),
+])
+def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
+    cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
+           "trials_per_point": 2, "master_seed": 5, field: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_gen_accepts_json_config(tmp_path, capsys):
     cfg = {"model": "draws", "n": 10, "arity": 3, "draws": 4, "seed": 9, "hypergraph": True}
     cfg_path = tmp_path / "gen.json"

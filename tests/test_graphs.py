@@ -16,13 +16,21 @@ from rig_lab import (
     project_rig,
     union,
 )
-from rig_lab.graphs import clique_edges
+from oracles import oracle_project_rig
 
 
 def test_edges_are_canonical():
-    g = SimpleGraph.from_edges(4, [(2, 0), (3, 1)])
+    g = SimpleGraph.from_edges(4, [(2, 0), (3, 1), (0, 2)])
     assert g.edges == frozenset({(0, 2), (1, 3)})
-    assert g.has_edge(2, 0)
+    assert g.has_edge(2, 0) and not g.has_edge(0, 1)
+    # one symmetric CSR store with sorted, duplicate-free rows
+    assert g.indptr.tolist() == [0, 1, 2, 3, 4] and g.indices.tolist() == [2, 3, 0, 1]
+    assert g.degrees().tolist() == [1, 1, 1, 1] and g.edge_count() == 2
+    assert g == SimpleGraph(4, [(1, 3), (0, 2)]) and g != SimpleGraph(4, [(0, 2)])
+    with pytest.raises(AttributeError):
+        g.n = 5
+    with pytest.raises(ValueError):
+        g.indices[0] = 1
 
 
 def test_invalid_edges_rejected():
@@ -30,6 +38,8 @@ def test_invalid_edges_rejected():
         SimpleGraph(3, frozenset({(0, 3)}))
     with pytest.raises(ValidationError):
         SimpleGraph.from_edges(3, [(1, 1)])
+    with pytest.raises(ValidationError):
+        SimpleGraph.from_edges(3, [(0, 1), (-1, 2)])
     with pytest.raises(ValidationError):
         UniformHypergraph(4, 3, frozenset({(0, 1)}))
 
@@ -77,14 +87,11 @@ def test_is_subgraph():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_project_rig_matches_clique_union(data):
-    n = data.draw(st.integers(2, 8))
-    m = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(2, 30))
+    m = data.draw(st.integers(1, 6))
     sets = [frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(m)]
     inst = RigInstance(n, m, tuple(sets))
-    expected = set()
-    for s in sets:
-        expected |= clique_edges(s)
-    assert project_rig(inst).edges == frozenset(expected)
+    assert project_rig(inst).edges == oracle_project_rig(sets)
 
 
 @given(st.data())
