@@ -76,8 +76,10 @@ def _load_probabilities(args, m_flag="m", p_flag="p", profile_flag="profile") ->
     return FeatureProbabilities.homogeneous(m, p)
 
 
-_GEN_PARAMS = ("model", "n", "m", "p", "profile", "arity", "phat", "draws",
-               "lam", "hypergraph", "seed", "out")
+_GEN_MODELS = ("rig", "independent", "draws", "poisson")
+_GEN_PARAMS = {"model": str, "n": int, "m": int, "p": float, "profile": str, "arity": int,
+               "phat": float, "draws": int, "lam": float, "hypergraph": bool, "seed": int,
+               "out": str}
 
 
 def _merge_gen_config(args) -> None:
@@ -91,10 +93,19 @@ def _merge_gen_config(args) -> None:
     if unknown:
         raise ValidationError(f"unknown gen config fields: {sorted(unknown)}")
     for key, value in doc.items():
+        kind = _GEN_PARAMS[key]
+        accepted = (int, float) if kind is float else kind
+        if value is not None and (not isinstance(value, accepted)
+                                  or isinstance(value, bool) and kind is not bool):
+            raise ValidationError(f"gen config field {key!r} must be {kind.__name__}, "
+                                  f"got {value!r}")
         if getattr(args, key) is None:
             setattr(args, key, value)
     if args.model is None or args.n is None:
         raise ValidationError("gen needs model and n (flags or config)")
+    if args.model not in _GEN_MODELS:
+        raise ValidationError(f"gen config model must be one of {list(_GEN_MODELS)}, "
+                              f"got {args.model!r}")
 
 
 def _apply_gen_defaults(args) -> None:
@@ -277,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="sample a model and emit edge-list text")
-    gen.add_argument("--model", choices=["rig", "independent", "draws", "poisson"])
+    gen.add_argument("--model", choices=_GEN_MODELS)
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--p", type=float)

@@ -289,7 +289,6 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     seen_count = 0
     covered_at = -1
     total = 0
-    rig_edges: set[tuple[int, int]] = set()
 
     buf = np.empty(0, dtype=np.int64)
     buf_pos = 0
@@ -315,7 +314,6 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
         phase: set[int] = set()
         while len(phase) < size:
             phase.add(next_draw())
-        rig_edges.update(clique_edges(phase))
 
     construction_draws = total
     delta_ge_1 = 0 < covered_at <= construction_draws

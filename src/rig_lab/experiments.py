@@ -22,6 +22,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from . import __version__
 from .errors import OutOfRangeError, PlanningError, ValidationError
@@ -35,7 +36,7 @@ from .properties import (
     has_perfect_matching,
     min_degree,
 )
-from .sampling import FeatureProbabilities, Seed, sample_rig
+from .sampling import FeatureProbabilities, Seed, _encode_label, sample_rig
 from .thresholds import (
     default_omega,
     homogeneous_p_for_target,
@@ -94,6 +95,10 @@ def parse_law_tag(tag: str) -> tuple[LawSpec, int]:
     return spec, k
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     theorem: str
@@ -114,11 +119,22 @@ class ExperimentConfig:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.master_seed < 2**64:
             raise ValidationError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
-        if not isinstance(self.c_grid, (list, tuple)) or not all(
-                isinstance(c, numbers.Real) and not isinstance(c, bool) for c in self.c_grid):
+        if self.hc_budget < 0:
+            raise ValidationError(f"hc_budget must be nonnegative, got {self.hc_budget}")
+        if not isinstance(self.c_grid, (list, tuple)) or not all(map(_is_number, self.c_grid)):
             raise ValidationError(f"c_grid must be a list of numbers, got {self.c_grid!r}")
         if not isinstance(self.profile, dict):
             raise ValidationError(f"profile must be an object, got {self.profile!r}")
+        if self.omega is not None:
+            if not _is_number(self.omega) or not self.omega > 0:
+                raise ValidationError(f"omega must be a positive number, got {self.omega!r}")
+            object.__setattr__(self, "omega", float(self.omega))
+        try:
+            _encode_label(self.experiment_id)
+        except ValidationError as exc:
+            raise ValidationError(f"experiment_id must be a stream label: {exc}") from None
+        if not isinstance(self.theorem, str):
+            raise ValidationError(f"theorem must be a law tag string, got {self.theorem!r}")
         parse_law_tag(self.theorem)
         if self.n < 2 or self.m < 1:
             raise ValidationError("need n >= 2 and m >= 1")
@@ -135,8 +151,10 @@ class ExperimentConfig:
             raise ValidationError(f"profile kind must be homogeneous or explicit, got {kind!r}")
         if kind == "explicit":
             vals = self.profile.get("values")
-            if not vals or len(vals) != self.m:
+            if not isinstance(vals, (list, tuple)) or len(vals) != self.m:
                 raise ValidationError("explicit profile needs exactly m base values")
+            if not all(map(_is_number, vals)):
+                raise ValidationError(f"explicit profile values must be numbers, got {vals!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -153,8 +171,6 @@ class ExperimentConfig:
         kwargs = dict(doc)
         if "profile" in kwargs and kwargs["profile"] is None:
             del kwargs["profile"]
-        if "omega" in kwargs and kwargs["omega"] is not None:
-            kwargs["omega"] = float(kwargs["omega"])
         return cls(**kwargs)
 
     def manifest(self) -> dict:
@@ -567,8 +583,6 @@ def emit_outputs(result: SweepResult, out_dir) -> list[str]:
     Wall-clock timing goes to timings.csv, which is intentionally outside
     the byte-reproducibility contract of the other three files.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

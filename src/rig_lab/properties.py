@@ -2,8 +2,8 @@
 
 * minimum degree, from the CSR row lengths of the graph
 * k-connectivity (vertex or edge).  Vertex mode: ``scipy.sparse.csgraph``
-  connected components for k = 1, the linear Hopcroft-Tarjan cut-vertex
-  test for k = 2, and for k >= 3 the exact vertex connectivity of a
+  connected components for k = 1, low points over scipy's depth-first
+  tree for k = 2, and for k >= 3 the exact vertex connectivity of a
   scan-first sparse certificate of at most k(n-1) edges: Dinic max-flow
   (scipy) on its vertex-split network over the Esfahanian-Hakimi pair
   family.  Edge mode and the exact connectivity values use the same
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, dijkstra, maximum_flow
+from scipy.sparse.csgraph import connected_components, depth_first_order, dijkstra, maximum_flow
 
 from .errors import ValidationError
 from .graphs import Edge, SimpleGraph
@@ -270,56 +270,33 @@ def _is_hamilton_cycle(adj: list[set[int]], cycle) -> bool:
     return all(cycle[(i + 1) % n] in adj[cycle[i]] for i in range(n))
 
 
-def _articulation_or_disconnected(adj: list[set[int]], n: int) -> bool:
-    """True if the graph is disconnected or has a cut vertex (iterative Tarjan)."""
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
-    timer = 1
-    stack: list[tuple[int, int, object]] = [(0, -1, None)]
-    root_children = 0
-    seen_count = 0
-    while stack:
-        v, parent, it = stack.pop()
-        if it is None:
-            visited[v] = True
-            seen_count += 1
-            disc[v] = low[v] = timer
-            timer += 1
-            it = iter(adj[v])
-        else:
-            # returning from a child: last pushed child w
-            pass
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if visited[w]:
-                low[v] = min(low[v], disc[w])
-            else:
-                stack.append((v, parent, it))
-                stack.append((w, v, None))
-                advanced = True
-                break
-        if advanced:
-            continue
-        # post-order for v
-        if parent != -1:
-            if low[v] >= disc[parent] and parent != 0:
-                return True
-            if parent == 0:
-                root_children += 1
-            low[parent] = min(low[parent], low[v])
-    if seen_count != n:
-        return True
-    return root_children > 1
-
-
 def is_biconnected(g: SimpleGraph) -> bool:
-    """Exact 2-connectivity in linear time: connected, n >= 3, no cut vertex."""
-    if g.n < 3 or min_degree(g) < 2:
+    """Exact 2-connectivity (n >= 3, connected, no cut vertex) from low points
+    over scipy's depth-first tree (Hopcroft-Tarjan, CACM 16, 1973).
+
+    scipy's search rescans a row after each child, so every non-tree edge joins
+    an ancestor to a descendant; low[v] may count the tree edge to v's parent.
+    """
+    n = g.n
+    if n < 3 or min_degree(g) < 2:
         return False
-    return not _articulation_or_disconnected(g.adjacency(), g.n)
+    # directed=True: the store is symmetric, and directed=False builds a transpose
+    order, parent = depth_first_order(g.matrix(), 0, directed=True, return_predecessors=True)
+    if len(order) < n or np.count_nonzero(parent == 0) > 1:
+        return False  # disconnected, or the root has two subtrees
+    disc = np.empty(n, dtype=np.int64)
+    disc[order] = np.arange(n)
+    # reduceat needs every row nonempty, which min degree >= 2 guarantees
+    low = np.minimum.reduceat(disc[g.indices], g.indptr[:-1]).tolist()
+    disc = disc.tolist()
+    parent = parent.tolist()
+    for v in order[:0:-1].tolist():  # non-root vertices, children before parents
+        p = parent[v]
+        if p != 0:
+            if low[v] >= disc[p]:
+                return False  # p is a cut vertex
+            low[p] = min(low[p], low[v])
+    return True
 
 
 def _bipartite_parts(g: SimpleGraph) -> tuple[int, int] | None:
@@ -588,15 +565,13 @@ def hamiltonicity(g: SimpleGraph, budget: int = DEFAULT_HC_BUDGET,
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
     effort = 0
-    if min_degree(g) < 2:
-        return HamiltonicityVerdict("no", None, effort)
-    adj_sets = g.adjacency()
-    if _articulation_or_disconnected(adj_sets, g.n):
+    if not is_biconnected(g):
         return HamiltonicityVerdict("no", None, effort)
     parts = _bipartite_parts(g)
     if parts is not None and parts[0] != parts[1]:
         return HamiltonicityVerdict("no", None, effort)
 
+    adj_sets = g.adjacency()
     rng = _as_rng(Seed(0, ("hamiltonicity-default",)) if seed is None else seed)
     adj_lists = [sorted(s) for s in adj_sets]
     cycle, used = _posa_search(adj_lists, adj_sets, g.n, rng, budget // 2)

@@ -282,6 +282,8 @@ def test_cli_sweep_and_exit_codes(tmp_path, capsys):
     ("stats", '[0.1, null]'),
     ("gen", '{"model": "rig", "n": 10'),
     ("gen", '["rig"]'),
+    ("gen", '{"model": "rig", "n": "10", "m": 3, "p": 0.5}'),
+    ("gen", '{"model": "lattice", "n": 10}'),
     ("sweep", '{"theorem": "connectivity", "n": 40'),
     ("sweep", '[]'),
 ])
@@ -302,6 +304,8 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     ("n", "100"), ("m", 40.0), ("trials_per_point", True), ("hc_budget", "1000"),
     ("master_seed", -1), ("master_seed", 2**64), ("master_seed", 1.5),
     ("c_grid", ["0.0"]), ("c_grid", [0.0, None]), ("profile", "homogeneous"),
+    ("theorem", 5), ("omega", "x"), ("profile", {"kind": "explicit", "values": [0.01] * 39 + ["a"]}),
+    ("experiment_id", 1.5), ("experiment_id", [1]), ("hc_budget", -1),
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],

@@ -102,6 +102,12 @@ def test_connectivity_values_match_oracles():
             assert is_k_connected(g, k, mode="edge") == oracle_edge_k_connected(n, g.edges, k)
 
 
+def cycles(*vertex_lists, n):
+    """The union of the cycles through each list of vertices, in order."""
+    return SimpleGraph.from_edges(n, [(c[i], c[(i + 1) % len(c)])
+                                      for c in vertex_lists for i in range(len(c))])
+
+
 def test_biconnected_agrees_with_flow_checker():
     rng = np.random.default_rng(29)
     for _ in range(300):
@@ -110,6 +116,17 @@ def test_biconnected_agrees_with_flow_checker():
         expected = oracle_flow_k_connected(n, g.edges, 2)
         assert is_biconnected(g) == expected, (n, sorted(g.edges))
         assert is_k_connected(g, 2) == expected, (n, sorted(g.edges))
+    # the depth-first search starts at vertex 0, so put cut vertices at the root and away from it
+    for name, g, expected in [
+        ("two cycles sharing vertex 0", cycles([0, 1, 2, 3], [0, 4, 5, 6], n=7), False),
+        ("two cycles sharing vertex n-1", cycles([0, 1, 2, 6], [3, 4, 5, 6], n=7), False),
+        ("two disjoint cycles", cycles([0, 1, 2], [3, 4, 5], n=6), False),
+        ("a bare cycle", cycle(6), True),
+        ("K_{2,5}", SimpleGraph.from_edges(7, [(a, b) for a in (0, 1) for b in range(2, 7)]), True),
+    ]:
+        assert oracle_flow_k_connected(g.n, g.edges, 2) == expected, name
+        assert is_biconnected(g) == expected, name
+        assert is_k_connected(g, 2) == expected, name
 
 
 def harary(k, n):
@@ -226,6 +243,8 @@ def test_hamiltonicity_examples(petersen):
     k23 = SimpleGraph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     assert hamiltonicity(k23).verdict == "no"
     assert hamiltonicity(petersen).verdict == "no"
+    bowtie = hamiltonicity(cycles([0, 1, 2], [0, 3, 4], n=5))  # cut vertex at the search root
+    assert bowtie.verdict == "no" and bowtie.effort == 0
     with pytest.raises(ValidationError):
         hamiltonicity(complete(2))
 
