@@ -59,7 +59,7 @@ class FeatureDecomposition:
 
 
 def decompose_features(r: RigInstance) -> FeatureDecomposition:
-    return decompose_sizes([len(s) for s in r.feature_sets])
+    return decompose_sizes(np.diff(r.indptr))
 
 
 def decompose_sizes(sizes) -> FeatureDecomposition:

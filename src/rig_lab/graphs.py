@@ -5,7 +5,10 @@ once, as a symmetric CSR adjacency (``indptr``, ``indices``) with sorted,
 duplicate-free rows, so equality is array equality and the upper triangle,
 read row by row, is the lexicographic edge order of the text format.  The
 ``edges`` frozenset of (u, v) pairs with u < v is a view derived from the
-arrays.  All types are frozen; operations return new values.
+arrays.  A RigInstance is stored the same way, as feature offsets
+(``indptr``) into one array of sorted member rows, and its projection is
+built from those arrays.  All types are frozen; operations return new
+values.
 """
 
 from __future__ import annotations
@@ -14,14 +17,41 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array, triu
+from scipy.sparse import coo_array, csc_array, csr_array
 
 from .errors import DimensionMismatch, ValidationError
 
 Edge = tuple[int, int]
 
 
-class SimpleGraph:
+class _ArrayValue:
+    """An immutable value whose ``__slots__`` fields are ints and read-only
+    arrays; equality and hashing compare every field."""
+
+    __slots__ = ()
+
+    def _set_fields(self, **fields) -> None:
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in zip(self._fields(), other._fields()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(np.asarray(value).tobytes() for value in self._fields()))
+
+
+class SimpleGraph(_ArrayValue):
     """Undirected simple graph on vertices {0, ..., n-1}.
 
     Built from any iterable of (u, v) pairs, in either orientation and with
@@ -42,8 +72,8 @@ class SimpleGraph:
         if outside.any():
             u, v = pairs[outside.argmax()]
             raise ValidationError(f"edge ({u}, {v}) invalid for n={n}")
-        upper = (pairs.min(axis=1), pairs.max(axis=1))
-        self._assign(coo_array((np.ones(len(pairs)), upper), shape=(n, n)))
+        arcs = (pairs.ravel(), pairs[:, ::-1].ravel())  # each pair in both directions
+        self._assign(coo_array((np.ones(2 * len(pairs)), arcs), shape=(n, n)))
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "SimpleGraph":
@@ -52,31 +82,19 @@ class SimpleGraph:
 
     @classmethod
     def _from_matrix(cls, matrix) -> "SimpleGraph":
-        """Graph of the nonzero pattern above the diagonal of a square sparse matrix."""
+        """Graph of the off-diagonal nonzero pattern of a symmetric sparse matrix."""
         g = cls.__new__(cls)
         g._assign(matrix)
         return g
 
     def _assign(self, matrix) -> None:
-        upper = triu(matrix, k=1, format="csr")
-        a = (upper + upper.T).tocsr()
-        a.sum_duplicates()  # sorts every row
-        indptr, indices = a.indptr.astype(np.int64), a.indices.astype(np.int64)
-        indptr.flags.writeable = indices.flags.writeable = False
-        for name, value in (("n", a.shape[0]), ("indptr", indptr), ("indices", indices)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SimpleGraph is immutable; cannot set {name}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimpleGraph):
-            return NotImplemented
-        return (self.n == other.n and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.indices, other.indices))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.indices.tobytes()))
+        a = csr_array(matrix)
+        a.sum_duplicates()  # sorts every row and merges repeats
+        n = a.shape[0]
+        tails = np.repeat(np.arange(n), np.diff(a.indptr))
+        off = a.indices != tails
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(tails[off], minlength=n))))
+        self._set_fields(n=n, indptr=indptr, indices=a.indices[off].astype(np.int64))
 
     def edge_count(self) -> int:
         return len(self.indices) // 2
@@ -101,10 +119,14 @@ class SimpleGraph:
     def edges(self) -> frozenset[Edge]:
         return frozenset(self.edge_list())
 
+    def neighbor_lists(self) -> list[list[int]]:
+        """Sorted neighbor lists, sliced from the CSR rows on each call."""
+        ptr, flat = self.indptr.tolist(), self.indices.tolist()
+        return [flat[ptr[v]:ptr[v + 1]] for v in range(self.n)]
+
     def adjacency(self) -> list[set[int]]:
         """Neighbor sets for O(1) membership tests, built from the CSR rows on each call."""
-        ptr, flat = self.indptr.tolist(), self.indices.tolist()
-        return [set(flat[ptr[v]:ptr[v + 1]]) for v in range(self.n)]
+        return [set(row) for row in self.neighbor_lists()]
 
     def matrix(self) -> csr_array:
         """The adjacency as a scipy sparse array with unit entries."""
@@ -138,32 +160,55 @@ class UniformHypergraph:
                 raise ValidationError(f"hyperedge {h} out of range for n={self.n}")
 
 
-@dataclass(frozen=True)
-class RigInstance:
-    """Vertex-feature incidence: feature i is held by the vertex set feature_sets[i].
+class RigInstance(_ArrayValue):
+    """Vertex-feature incidence: feature i is held by the vertices
+    ``members[indptr[i]:indptr[i + 1]]``, a sorted, duplicate-free row.
 
-    The projected graph joins two vertices iff they share a feature.
+    Built from any iterable of m vertex collections; both arrays are
+    read-only int64.  The projected graph joins two vertices iff they share
+    a feature.
     """
 
-    n: int
-    m: int
-    feature_sets: tuple[frozenset[int], ...]
+    __slots__ = ("n", "m", "indptr", "members")
 
-    def __post_init__(self):
-        if self.n < 0 or self.m < 0:
+    def __init__(self, n: int, m: int, feature_sets):
+        if n < 0 or m < 0:
             raise ValidationError("vertex and feature counts must be nonnegative")
-        sets = tuple(frozenset(s) for s in self.feature_sets)
-        object.__setattr__(self, "feature_sets", sets)
-        if len(sets) != self.m:
-            raise ValidationError(f"expected {self.m} feature sets, got {len(sets)}")
-        for i, s in enumerate(sets):
-            for v in s:
-                if not (0 <= v < self.n):
-                    raise ValidationError(f"feature {i} contains out-of-range vertex {v}")
+        try:
+            rows = [list(s) for s in feature_sets]
+        except TypeError:
+            raise ValidationError("feature sets must be collections of vertices") from None
+        if len(rows) != m:
+            raise ValidationError(f"expected {m} feature sets, got {len(rows)}")
+        flat = np.array(list(itertools.chain.from_iterable(rows)))
+        if flat.size and (flat.dtype.kind not in "iu" or flat.ndim != 1):
+            raise ValidationError("feature members must be integers")
+        owners = np.repeat(np.arange(m), [len(row) for row in rows])
+        outside = (flat < 0) | (flat >= n)
+        if outside.any():
+            i = outside.argmax()
+            raise ValidationError(f"feature {owners[i]} contains out-of-range vertex {flat[i]}")
+        keys = np.unique(owners * n + flat.astype(np.int64))  # by feature, then vertex
+        indptr = np.searchsorted(keys, np.arange(m + 1) * n)
+        self._set_fields(n=n, m=m, indptr=indptr, members=keys % max(n, 1))
+
+    @classmethod
+    def _from_arrays(cls, n: int, m: int, indptr: np.ndarray, members: np.ndarray) -> "RigInstance":
+        """Wrap int64 arrays that already hold sorted, duplicate-free, in-range rows."""
+        r = cls.__new__(cls)
+        r._set_fields(n=n, m=m, indptr=indptr, members=members)
+        return r
+
+    @property
+    def feature_sets(self) -> tuple[frozenset[int], ...]:
+        """The vertex set of each feature, derived from the arrays."""
+        ptr, flat = self.indptr.tolist(), self.members.tolist()
+        return tuple(frozenset(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
     def features_of(self, v: int) -> frozenset[int]:
         """Inverse view: the features held by vertex v."""
-        return frozenset(i for i, s in enumerate(self.feature_sets) if v in s)
+        owners = np.repeat(np.arange(self.m), np.diff(self.indptr))
+        return frozenset(owners[self.members == v].tolist())
 
 
 def clique_edges(vertices) -> set[Edge]:
@@ -171,25 +216,23 @@ def clique_edges(vertices) -> set[Edge]:
     return set(itertools.combinations(sorted(vertices), 2))
 
 
-def _clique_union(n: int, vertex_sets) -> SimpleGraph:
-    """Union of the cliques on the vertex sets: the off-diagonal pattern of
-    B B^T, where B is the n x len(vertex_sets) incidence."""
-    sizes = [len(s) for s in vertex_sets]
-    members = np.fromiter(itertools.chain.from_iterable(vertex_sets), dtype=np.int64,
-                          count=sum(sizes))
-    owners = np.repeat(np.arange(len(sizes)), sizes)
-    incidence = csr_array((np.ones(len(members)), (members, owners)), shape=(n, len(sizes)))
-    return SimpleGraph._from_matrix(incidence @ incidence.T)
+def _clique_union(n: int, indptr: np.ndarray, members: np.ndarray) -> SimpleGraph:
+    """Union of the cliques on the rows of an incidence: the off-diagonal
+    pattern of B B^T, where column i of the n x m incidence B is the row
+    ``members[indptr[i]:indptr[i + 1]]``."""
+    b = csc_array((np.ones(len(members)), members, indptr), shape=(n, len(indptr) - 1))
+    return SimpleGraph._from_matrix(b @ b.T)
 
 
 def project_hypergraph(h: UniformHypergraph) -> SimpleGraph:
     """Graph whose edges are the pairs covered by at least one hyperedge."""
-    return _clique_union(h.n, h.hyperedges)
+    members = np.array(list(h.hyperedges), dtype=np.int64).reshape(-1)
+    return _clique_union(h.n, np.arange(0, len(members) + 1, h.arity), members)
 
 
 def project_rig(r: RigInstance) -> SimpleGraph:
     """Intersection graph of a feature assignment: vertices sharing a feature are adjacent."""
-    return _clique_union(r.n, r.feature_sets)
+    return _clique_union(r.n, r.indptr, r.members)
 
 
 def union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:

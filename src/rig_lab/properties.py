@@ -301,7 +301,8 @@ def is_biconnected(g: SimpleGraph) -> bool:
 
 def _bipartite_parts(g: SimpleGraph) -> tuple[int, int] | None:
     """Part sizes if bipartite, else None (graph assumed connected)."""
-    side = dijkstra(g.matrix(), directed=False, indices=0, unweighted=True).astype(np.int64) % 2
+    # directed=True: the store is symmetric, and directed=False builds a transpose
+    side = dijkstra(g.matrix(), directed=True, indices=0, unweighted=True).astype(np.int64) % 2
     tails, heads = g.arcs()
     if (side[tails] == side[heads]).any():
         return None
@@ -571,9 +572,9 @@ def hamiltonicity(g: SimpleGraph, budget: int = DEFAULT_HC_BUDGET,
     if parts is not None and parts[0] != parts[1]:
         return HamiltonicityVerdict("no", None, effort)
 
-    adj_sets = g.adjacency()
+    adj_lists = g.neighbor_lists()
+    adj_sets = [set(row) for row in adj_lists]
     rng = _as_rng(Seed(0, ("hamiltonicity-default",)) if seed is None else seed)
-    adj_lists = [sorted(s) for s in adj_sets]
     cycle, used = _posa_search(adj_lists, adj_sets, g.n, rng, budget // 2)
     effort += used
     if cycle is not None and _is_hamilton_cycle(adj_sets, cycle):

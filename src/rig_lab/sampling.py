@@ -13,6 +13,14 @@ Models:
                                of draws; distributed exactly as
                                ``sample_h_independent(n, i, 1 - exp(-lam/C(n,i)))``.
 
+The ``sample_rig`` stream, in order: one ``rng.binomial(n, p)`` call for
+the m member counts k_i, then one block of uniforms in feature order, k_i
+doubles for each feature with k_i < n and none for a feature with k_i = n
+(it holds every vertex).  Feature i's block feeds Floyd's algorithm: step j
+takes t = floor(u_j * (n - k_i + 1 + j)), or n - k_i + j when t is taken.
+PCG64 doubles come off the stream one at a time, so the block is the same
+whether it is drawn in one call or in one call per feature.
+
 Determinism contract: identical parameters and Seed give identical output on
 every platform.  Streams derive from numpy's SeedSequence, whose mixing is a
 fixed pure function of (entropy, spawn_key), and PCG64, whose output is part
@@ -122,11 +130,12 @@ def _as_rng(seed) -> np.random.Generator:
     raise ValidationError(f"expected Seed or numpy Generator, got {type(seed).__name__}")
 
 
-def sample_subset(n: int, k: int, rng: np.random.Generator) -> list[int]:
-    """Uniform k-subset of range(n) in O(k) space and draws (Floyd's algorithm)."""
-    if k >= n:
-        return list(range(n))
-    u = rng.random(k)
+def _floyd(u: np.ndarray, n: int, k: int) -> list[int]:
+    """Floyd's uniform k-subset of range(n), k < n, from k uniforms in [0, 1).
+
+    Step j takes t = floor(u[j] * (n - k + 1 + j)), or n - k + j when t was
+    already taken; the k results are distinct.
+    """
     chosen: set[int] = set()
     for j in range(k):
         t = int(u[j] * (n - k + 1 + j))
@@ -136,19 +145,41 @@ def sample_subset(n: int, k: int, rng: np.random.Generator) -> list[int]:
     return sorted(chosen)
 
 
+def sample_subset(n: int, k: int, rng: np.random.Generator) -> list[int]:
+    """Uniform k-subset of range(n) in O(k) space and draws (Floyd's algorithm)."""
+    if k >= n:
+        return list(range(n))
+    return _floyd(rng.random(k), n, k)
+
+
 def sample_rig(n: int, p: FeatureProbabilities, seed) -> RigInstance:
     """Sample a vertex-feature incidence with independent memberships.
 
     Each feature's member count is Binomial(n, p_i) with a uniform vertex
     subset of that size, which matches per-vertex independent membership
-    exactly.
+    exactly.  The stream is the one in the module docstring; every
+    feature's Floyd candidates are computed at once, and only features with
+    a repeated candidate rerun the scalar rule.
     """
     if n < 1:
         raise ValidationError(f"vertex count must be positive, got {n}")
     rng = _as_rng(seed)
     counts = rng.binomial(n, p.as_array())
-    sets = tuple(frozenset(sample_subset(n, int(k), rng)) for k in counts)
-    return RigInstance(n, p.m, sets)
+    draws = np.where(counts < n, counts, 0)  # a feature holding every vertex draws nothing
+    u = rng.random(int(draws.sum()))
+    starts = np.cumsum(draws) - draws
+    j = np.arange(len(u)) - np.repeat(starts, draws)
+    candidates = (u * (n - np.repeat(draws, draws) + 1 + j)).astype(np.int64)
+    full = np.flatnonzero(counts == n)
+    keys = np.concatenate((np.repeat(np.arange(p.m) * n, draws) + candidates,
+                           np.repeat(full * n, n) + np.tile(np.arange(n), len(full))))
+    keys.sort()  # by feature, then by vertex
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    members = keys % n
+    # a repeated candidate is where Floyd's collision rule fires
+    for f in np.unique(keys[1:][keys[1:] == keys[:-1]] // n).tolist():
+        members[indptr[f]:indptr[f + 1]] = _floyd(u[starts[f]:starts[f] + draws[f]], n, int(draws[f]))
+    return RigInstance._from_arrays(n, p.m, indptr, members)
 
 
 # --- i-subset ranking in colexicographic order ------------------------------
@@ -219,8 +250,8 @@ def sample_g_star(n: int, arity: int, draws: int, seed) -> UniformHypergraph:
 
 def sample_g_star_poisson(n: int, arity: int, lam: float, seed) -> UniformHypergraph:
     """``sample_g_star`` with a Poisson(lam) number of draws."""
-    if lam < 0 or math.isnan(lam):
-        raise ValidationError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValidationError(f"lambda must be finite and nonnegative, got {lam}")
     rng = _as_rng(seed)
     draws = int(rng.poisson(lam))
     hes = draw_subsets(n, arity, draws, rng)

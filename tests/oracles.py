@@ -9,6 +9,7 @@ import itertools
 from collections import deque
 
 import mpmath
+import numpy as np
 
 
 def _adj_sets(n, edges):
@@ -33,6 +34,28 @@ def connected_on(vertices, adj):
                 seen.add(w)
                 stack.append(w)
     return seen == vertices
+
+
+def oracle_sample_rig(n, values, seed):
+    """The per-feature sampler the library used before its vectorized draw:
+    Binomial(n, p_i) members for each feature in turn, then Floyd's algorithm
+    on that feature's own block of k uniforms (none when k >= n).  Returns
+    the feature sets; `seed` is a rig_lab Seed."""
+    rng = seed.rng()
+    sets = []
+    for k in rng.binomial(n, np.asarray(values, dtype=np.float64)).tolist():
+        if k >= n:
+            sets.append(frozenset(range(n)))
+            continue
+        u = rng.random(k)
+        chosen = set()
+        for j in range(k):
+            t = int(u[j] * (n - k + 1 + j))
+            if t in chosen:
+                t = n - k + j
+            chosen.add(t)
+        sets.append(frozenset(chosen))
+    return tuple(sets)
 
 
 def oracle_project_rig(feature_sets):

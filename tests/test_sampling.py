@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,17 +7,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rig_lab import (
+    ExperimentConfig,
     FeatureProbabilities,
+    RigInstance,
     Seed,
     UnsupportedArity,
     ValidationError,
+    plan_point,
     project_rig,
+    run_sweep,
     sample_g_star,
     sample_g_star_poisson,
     sample_h_independent,
     sample_rig,
 )
+from rig_lab.experiments import render_results_csv
 from rig_lab.sampling import draw_subsets, sample_subset, subset_rank, subset_unrank
+from oracles import oracle_project_rig, oracle_sample_rig
 
 
 def test_probability_vector_validation():
@@ -79,6 +86,54 @@ def test_rig_binomial_moments():
     assert abs(var - n * p * (1 - p)) / (n * p * (1 - p)) < 0.05
 
 
+def _assert_matches_per_feature_sampler(n, values, seed):
+    inst = sample_rig(n, FeatureProbabilities(values), seed)
+    sets = oracle_sample_rig(n, values, seed)
+    assert inst.feature_sets == sets
+    assert inst == RigInstance(n, len(values), sets)  # sorted, duplicate-free rows
+    assert project_rig(inst).edges == oracle_project_rig(sets)
+
+
+_PROBABILITY = st.one_of(st.floats(1e-6, 1 - 1e-6), st.sampled_from([1e-12, 0.5, 1 - 1e-12]))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sample_rig_matches_per_feature_sampler(data):
+    # n = 1, tiny n where most features hold every vertex (they draw no
+    # uniforms) or collide in Floyd's rule, and larger n
+    n = data.draw(st.one_of(st.just(1), st.integers(2, 6), st.integers(7, 300)))
+    values = data.draw(st.lists(_PROBABILITY, min_size=1, max_size=40))
+    _assert_matches_per_feature_sampler(n, values, Seed(data.draw(st.integers(0, 2**64 - 1))))
+
+
+def test_sample_rig_matches_per_feature_sampler_on_explicit_profile():
+    # the two-level profile of the conn-sweep benchmark workload
+    config = ExperimentConfig(
+        theorem="connectivity", n=2000, m=2000, c_grid=(-1.0, 1.0), trials_per_point=1,
+        master_seed=0, profile={"kind": "explicit", "values": [1.0, 4.0] * 1000})
+    for i, c in enumerate(config.c_grid):
+        point = plan_point(config, c, i)
+        for t in range(3):
+            _assert_matches_per_feature_sampler(
+                point.n_vertices, point.probabilities.values, Seed(17).child("explicit", i, t))
+
+
+def test_sample_streams_are_pinned():
+    # sha256 of one sampled incidence and of one sweep's results.csv; a change
+    # to the sample_rig stream changes them, and must be versioned, not silent
+    inst = sample_rig(300, FeatureProbabilities((0.01, 0.05, 0.3) * 100),
+                      Seed(2024).child("stream-pin"))
+    text = "".join(f"{i} {v}\n" for i, s in enumerate(inst.feature_sets) for v in sorted(s))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af1ae63375ffad14db729a9a4b78f4f78255318c68d34e1e692769abfa232b32")
+    config = ExperimentConfig(theorem="connectivity", n=300, m=300, c_grid=(-1.0, 1.0),
+                              trials_per_point=20, master_seed=2024, experiment_id="stream-pin")
+    csv = render_results_csv(run_sweep(config))
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "ec3c0994a9910d2983f8a4ed6f1a25c5b1a5f4dcfe4389b258fa7fc0f69a2e42")
+
+
 def test_h_independent_trivial_cases():
     assert len(sample_h_independent(20, 3, 0.0, Seed(1).child("h0")).hyperedges) == 0
     full = sample_h_independent(4, 3, 1.0, Seed(1).child("h1"))
@@ -125,6 +180,9 @@ def test_g_star_poisson_trivial_and_saturated():
     assert len(sample_g_star_poisson(10, 3, 0.0, Seed(1).child("p0")).hyperedges) == 0
     sat = sample_g_star_poisson(4, 2, 1e6, Seed(1).child("p1"))
     assert sat.hyperedges == frozenset(itertools.combinations(range(4), 2))
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            sample_g_star_poisson(4, 2, lam, Seed(1).child("p2"))
 
 
 def test_g_star_poisson_matches_independent_frequency():
