@@ -23,10 +23,8 @@ from .graphs import (
     graph_to_text,
     hypergraph_from_text,
     hypergraph_to_text,
-    is_subgraph,
     project_hypergraph,
     project_rig,
-    union,
 )
 from .sampling import (
     FeatureProbabilities,
@@ -39,8 +37,6 @@ from .sampling import (
 from .thresholds import (
     CouplingParameters,
     ThresholdStats,
-    balanced_feature_ratio,
-    c_from_s1,
     coupling_parameters,
     default_omega,
     homogeneous_p_for_target,

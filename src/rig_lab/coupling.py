@@ -6,7 +6,13 @@ Three experiments, each reproducible from a Seed:
   from shared uniform draw streams.  Every feature's coupled graph sits
   inside the clique on its reconstructed feature set by construction, and
   Poisson-count prefixes of the same streams yield the sandwich graph whose
-  containment is certified whenever the guard events hold.
+  containment is certified whenever the guard events hold.  Its five
+  streams are children of its Seed: ``sizes`` (one binomial call),
+  ``pair-stream`` and ``triple-stream`` (one ``draw_subsets`` call each),
+  ``padding`` (one block of uniforms for Floyd's rule, in feature order)
+  and ``poisson`` (the pair count, then the triple count).  The rebuilt
+  features are a RigInstance projected by ``project_rig``; edges and
+  memberships are sorted int64 keys, compared by ``searchsorted``.
 
 * ``coupon_collector_trial`` couples the construction with a coupon
   collector process: feature sets are the distinct vertices seen in
@@ -24,18 +30,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import chdtrc
 
 from .errors import ValidationError
-from .graphs import RigInstance, SimpleGraph, clique_edges
+from .graphs import RigInstance, SimpleGraph, _sorted_rows, _unique_keys, project_rig
 from .sampling import (
     FeatureProbabilities,
     Seed,
     _as_rng,
+    _floyd_rows,
     draw_subsets,
     sample_g_star_poisson,
     sample_h_independent,
-    sample_subset,
 )
 from .thresholds import summary_stats
 
@@ -63,40 +69,51 @@ def decompose_features(r: RigInstance) -> FeatureDecomposition:
 
 
 def decompose_sizes(sizes) -> FeatureDecomposition:
-    sizes = tuple(int(x) for x in sizes)
-    active = tuple(x if x >= 2 else 0 for x in sizes)
-    odd = tuple(1 if y % 2 else 0 for y in active)
-    for y, z in zip(active, odd):
-        if y - 3 * z < 0 or (y - 3 * z) % 2:
-            raise AssertionError(f"active size {y} with odd flag {z} has no pair/triple split")
-    pair_draws = sum((y - 3 * z) // 2 for y, z in zip(active, odd))
-    triple_draws = sum(odd)
-    return FeatureDecomposition(sizes, active, odd, pair_draws, triple_draws)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    active = np.where(sizes >= 2, sizes, 0)
+    odd = active % 2
+    return FeatureDecomposition(tuple(sizes.tolist()), tuple(active.tolist()), tuple(odd.tolist()),
+                                int((active - 3 * odd).sum()) // 2, int(odd.sum()))
 
 
-def _assemble_feature(size: int, odd: int, n: int, pair_draws, triple_draws,
-                      rng: np.random.Generator) -> tuple[set[tuple[int, int]], frozenset[int]]:
-    """Edges and reconstructed feature set for one feature, given its draws.
+def _rebuild(n: int, active: np.ndarray, pairs: np.ndarray, triples: np.ndarray,
+             rng_pad: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Feature sets rebuilt from their draws, as sorted keys ``f * n + v``,
+    and the key of every endpoint of every draw.
 
-    The drawn pairs/triples are turned into cliques; the feature set is the
-    touched vertices padded with uniformly chosen fresh ones up to `size`,
-    so the edge set is a subgraph of the clique on the feature set by
-    construction.
+    Feature f of active size y takes the next (y - 3z)/2 rows of ``pairs``
+    and the next z = y mod 2 rows of ``triples``.  Its set is the touched
+    vertices, padded by ``_floyd_rows`` with uniformly chosen fresh ones up
+    to y, so every draw lies inside the clique on its feature's set.
     """
-    edges: set[tuple[int, int]] = set()
-    touched: set[int] = set()
-    for sub in pair_draws:
-        edges.add(sub)
-        touched.update(sub)
-    for sub in triple_draws:
-        edges.update(clique_edges(sub))
-        touched.update(sub)
-    missing = size - len(touched)
-    if missing > 0:
-        rest = sorted(set(range(n)) - touched)
-        idx = sample_subset(len(rest), missing, rng)
-        touched.update(rest[i] for i in idx)
-    return edges, frozenset(touched)
+    m = len(active)
+    odd = active % 2
+    owners = np.repeat(np.tile(np.arange(m), 2), np.concatenate((active - 3 * odd, 3 * odd)))
+    draw_keys = owners * n + np.concatenate((pairs.ravel(), triples.ravel()))
+    touched = _unique_keys(draw_keys)
+    hits = np.bincount(touched // n, minlength=m)
+    missing = active - hits
+    _, pad = _floyd_rows(missing, n - hits, rng_pad)
+    # padded index i of feature f is the i-th vertex outside its touched set:
+    # i plus the touched vertices v whose count of untouched ones below, v - rank, is at most i
+    first = np.cumsum(hits) - hits
+    gaps = touched - (np.arange(len(touched)) - np.repeat(first, hits))
+    queries = np.repeat(np.arange(m) * n, missing) + pad
+    pad_keys = queries + np.searchsorted(gaps, queries, side="right") - np.repeat(first, missing)
+    return np.sort(np.concatenate((touched, pad_keys))), draw_keys
+
+
+def _edge_keys(n: int, pairs: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys u * n + v (u < v) of the drawn pairs and of the
+    triangles on the drawn triples."""
+    a, b, c = triples.T
+    return _unique_keys(np.concatenate((pairs[:, 0] * n + pairs[:, 1], a * n + b, a * n + c, b * n + c)))
+
+
+def _within(keys: np.ndarray, sorted_keys: np.ndarray) -> bool:
+    """Whether every key is one of ``sorted_keys``."""
+    at = np.searchsorted(sorted_keys, keys)
+    return bool((at < len(sorted_keys)).all() and (sorted_keys[at] == keys).all())
 
 
 def couple_feature(size: int, odd: int, n: int, seed) -> tuple[SimpleGraph, frozenset[int]]:
@@ -117,9 +134,10 @@ def couple_feature(size: int, odd: int, n: int, seed) -> tuple[SimpleGraph, froz
     if size == 0:
         return SimpleGraph(n), frozenset()
     pairs = draw_subsets(n, 2, (size - 3 * odd) // 2, rng)
-    triples = draw_subsets(n, 3, odd, rng) if odd else []
-    edges, members = _assemble_feature(size, odd, n, pairs, triples, rng)
-    return SimpleGraph(n, edges), members
+    triples = draw_subsets(n, 3, odd, rng)
+    members, _ = _rebuild(n, np.array([size]), pairs, triples, rng)
+    edges = _edge_keys(n, pairs, triples)
+    return SimpleGraph(n, np.column_stack((edges // n, edges % n))), frozenset(members.tolist())
 
 
 @dataclass(frozen=True)
@@ -185,29 +203,13 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     pair_stream = draw_subsets(n, 2, max(dec.pair_draws, poisson_pairs), rng_pairs)
     triple_stream = draw_subsets(n, 3, max(dec.triple_draws, poisson_triples), rng_triples)
 
-    rig_edges: set[tuple[int, int]] = set()
-    coupled_edges: set[tuple[int, int]] = set()
-    per_feature_ok = True
-    pair_off = 0
-    triple_off = 0
-    for size, odd in zip(dec.active_sizes, dec.odd_flags):
-        if size == 0:
-            continue
-        k2 = (size - 3 * odd) // 2
-        pairs = pair_stream[pair_off:pair_off + k2]
-        triples = triple_stream[triple_off:triple_off + odd]
-        pair_off += k2
-        triple_off += odd
-        edges, members = _assemble_feature(size, odd, n, pairs, triples, rng_pad)
-        feature_clique = clique_edges(members)
-        if not edges <= feature_clique:
-            per_feature_ok = False
-        coupled_edges.update(edges)
-        rig_edges.update(feature_clique)
-
-    prefix_edges = set(pair_stream[:poisson_pairs])
-    for sub in triple_stream[:poisson_triples]:
-        prefix_edges.update(clique_edges(sub))
+    pairs = pair_stream[:dec.pair_draws]
+    triples = triple_stream[:dec.triple_draws]
+    members, draw_keys = _rebuild(n, np.array(dec.active_sizes, dtype=np.int64), pairs, triples, rng_pad)
+    rig = project_rig(RigInstance._from_arrays(n, p.m, *_sorted_rows(members, n, p.m)))
+    tails, heads = rig.arcs()
+    rig_edges = (tails * n + heads)[tails < heads]  # sorted: CSR rows in order
+    prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
 
     sum_active = sum(dec.active_sizes)
     guards = {
@@ -216,8 +218,8 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         "size_concentration_ok": abs(sum_active - s1) <= omega * sqrt_s1,
     }
     return CouplingReport(
-        contained=prefix_edges <= rig_edges,
-        per_feature_contained=per_feature_ok,
+        contained=_within(prefix_edges, rig_edges),
+        per_feature_contained=_within(draw_keys, members),
         guard_events=guards,
         pair_draws=dec.pair_draws,
         triple_draws=dec.triple_draws,
@@ -225,7 +227,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         poisson_pairs=poisson_pairs,
         poisson_triples=poisson_triples,
         rig_edge_count=len(rig_edges),
-        coupled_edge_count=len(coupled_edges),
+        coupled_edge_count=len(_edge_keys(n, pairs, triples)),
         prefix_edge_count=len(prefix_edges),
         regime_infeasible=regime_infeasible,
         omega=omega,
@@ -461,5 +463,5 @@ def _chi2_homogeneity(hist: dict[int, tuple[int, int]],
         eb = tot * n_b / (n_a + n_b)
         chi2 += (a - ea) ** 2 / ea + (b - eb) ** 2 / eb
     dof = len(pooled) - 1
-    p_value = float(scipy_stats.chi2.sf(chi2, dof))
+    p_value = float(chdtrc(dof, chi2))  # the chi-square survival function
     return chi2, dof, p_value

@@ -7,8 +7,10 @@ read row by row, is the lexicographic edge order of the text format.  The
 ``edges`` frozenset of (u, v) pairs with u < v is a view derived from the
 arrays.  A RigInstance is stored the same way, as feature offsets
 (``indptr``) into one array of sorted member rows, and its projection is
-built from those arrays.  All types are frozen; operations return new
-values.
+built from those arrays.  Both constructors build their rows with
+``_sorted_rows``: sort int64 keys ``row * width + column``, mask repeats,
+and cut the rows by ``searchsorted``.  All types are frozen; operations
+return new values.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_array, csc_array, csr_array
+from scipy.sparse import csc_array, csr_array
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 
 Edge = tuple[int, int]
 
@@ -51,6 +53,21 @@ class _ArrayValue:
         return hash(tuple(np.asarray(value).tobytes() for value in self._fields()))
 
 
+def _unique_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, sorted (sort, then mask repeats)."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _sorted_rows(keys: np.ndarray, width: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, columns)`` of ``rows`` sorted, duplicate-free rows,
+    from int64 keys ``row * width + column`` in any order, with repeats."""
+    keys = _unique_keys(keys)
+    return np.searchsorted(keys, np.arange(rows + 1) * width), keys % max(width, 1)
+
+
 class SimpleGraph(_ArrayValue):
     """Undirected simple graph on vertices {0, ..., n-1}.
 
@@ -72,8 +89,9 @@ class SimpleGraph(_ArrayValue):
         if outside.any():
             u, v = pairs[outside.argmax()]
             raise ValidationError(f"edge ({u}, {v}) invalid for n={n}")
-        arcs = (pairs.ravel(), pairs[:, ::-1].ravel())  # each pair in both directions
-        self._assign(coo_array((np.ones(2 * len(pairs)), arcs), shape=(n, n)))
+        u, v = pairs.T
+        indptr, indices = _sorted_rows(np.concatenate((u * n + v, v * n + u)), n, n)
+        self._set_fields(n=n, indptr=indptr, indices=indices)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "SimpleGraph":
@@ -83,18 +101,15 @@ class SimpleGraph(_ArrayValue):
     @classmethod
     def _from_matrix(cls, matrix) -> "SimpleGraph":
         """Graph of the off-diagonal nonzero pattern of a symmetric sparse matrix."""
-        g = cls.__new__(cls)
-        g._assign(matrix)
-        return g
-
-    def _assign(self, matrix) -> None:
         a = csr_array(matrix)
         a.sum_duplicates()  # sorts every row and merges repeats
         n = a.shape[0]
         tails = np.repeat(np.arange(n), np.diff(a.indptr))
         off = a.indices != tails
         indptr = np.concatenate(([0], np.cumsum(np.bincount(tails[off], minlength=n))))
-        self._set_fields(n=n, indptr=indptr, indices=a.indices[off].astype(np.int64))
+        g = cls.__new__(cls)
+        g._set_fields(n=n, indptr=indptr, indices=a.indices[off].astype(np.int64))
+        return g
 
     def edge_count(self) -> int:
         return len(self.indices) // 2
@@ -188,9 +203,8 @@ class RigInstance(_ArrayValue):
         if outside.any():
             i = outside.argmax()
             raise ValidationError(f"feature {owners[i]} contains out-of-range vertex {flat[i]}")
-        keys = np.unique(owners * n + flat.astype(np.int64))  # by feature, then vertex
-        indptr = np.searchsorted(keys, np.arange(m + 1) * n)
-        self._set_fields(n=n, m=m, indptr=indptr, members=keys % max(n, 1))
+        indptr, members = _sorted_rows(owners * n + flat.astype(np.int64), n, m)
+        self._set_fields(n=n, m=m, indptr=indptr, members=members)
 
     @classmethod
     def _from_arrays(cls, n: int, m: int, indptr: np.ndarray, members: np.ndarray) -> "RigInstance":
@@ -211,11 +225,6 @@ class RigInstance(_ArrayValue):
         return frozenset(owners[self.members == v].tolist())
 
 
-def clique_edges(vertices) -> set[Edge]:
-    """All unordered pairs within a vertex set, canonically ordered."""
-    return set(itertools.combinations(sorted(vertices), 2))
-
-
 def _clique_union(n: int, indptr: np.ndarray, members: np.ndarray) -> SimpleGraph:
     """Union of the cliques on the rows of an incidence: the off-diagonal
     pattern of B B^T, where column i of the n x m incidence B is the row
@@ -233,19 +242,6 @@ def project_hypergraph(h: UniformHypergraph) -> SimpleGraph:
 def project_rig(r: RigInstance) -> SimpleGraph:
     """Intersection graph of a feature assignment: vertices sharing a feature are adjacent."""
     return _clique_union(r.n, r.indptr, r.members)
-
-
-def union(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
-    if a.n != b.n:
-        raise DimensionMismatch(f"cannot union graphs on {a.n} and {b.n} vertices")
-    return SimpleGraph(a.n, a.edges | b.edges)
-
-
-def is_subgraph(a: SimpleGraph, b: SimpleGraph) -> bool:
-    """Containment under the identity vertex map (no isomorphism search)."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"cannot compare graphs on {a.n} and {b.n} vertices")
-    return a.edges <= b.edges
 
 
 # --- text formats -----------------------------------------------------------

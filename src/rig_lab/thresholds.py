@@ -207,30 +207,6 @@ def limit_probability(c: float) -> float:
     return math.exp(-math.exp(-c))
 
 
-def c_from_s1(n: int, s1: float, k: int = 1, kind: str = "connectivity") -> float:
-    """Invert the c-axis parameterization S1 = n*(ln n + shift + c).
-
-    kind "connectivity" uses shift = (k-1)*ln(ln n) (minimum degree and
-    k-connectivity scale); kind "hamiltonicity" uses shift = ln(ln n).
-    """
-    if s1 < 0:
-        raise ValidationError(f"S1 must be nonnegative, got {s1}")
-    if kind == "connectivity":
-        if k < 1:
-            raise ValidationError(f"k must be positive, got {k}")
-        lnln_mult = k - 1
-    elif kind == "hamiltonicity":
-        lnln_mult = 1
-    else:
-        raise ValidationError(f"unknown kind {kind!r}")
-    if lnln_mult and n < 3:
-        raise ValidationError(f"need n >= 3 when the ln(ln n) term is present, got n={n}")
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
-    shift = lnln_mult * math.log(math.log(n)) if lnln_mult else 0.0
-    return s1 / n - math.log(n) - shift
-
-
 def per_feature_mass(n: int, p: float) -> float:
     """g(p) = p*(1 - (1-p)^(n-1)); S1 = n*m*g(p) for a homogeneous model."""
     return p * -math.expm1((n - 1) * math.log1p(-p))
@@ -295,18 +271,3 @@ def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:
     else:
         raise ValidationError(f"unknown kind {kind!r}")
     return math.log(n) + math.log(max(1.0, inner))
-
-
-def balanced_feature_ratio(gamma: float) -> tuple[float, float]:
-    """Constants for the scaling m = beta*n*ln n, p = gamma/n.
-
-    Returns (beta, slope) with beta*gamma*(1 - e^(-gamma)) = 1 and
-    slope = 1 + gamma*e^(-gamma)/(1 - e^(-gamma)), the factor multiplying
-    the drift sequence inside the limit law.
-    """
-    if gamma <= 0 or math.isnan(gamma):
-        raise ValidationError(f"gamma must be positive, got {gamma}")
-    denom = gamma * -math.expm1(-gamma)
-    beta = 1.0 / denom
-    slope = 1.0 + gamma * math.exp(-gamma) / -math.expm1(-gamma)
-    return beta, slope

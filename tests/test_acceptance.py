@@ -32,9 +32,9 @@ from rig_lab.experiments import (
     render_summary_json,
     run_sweep,
 )
-from rig_lab.graphs import clique_edges
 from conftest import random_graph
 from oracles import (
+    clique_edges,
     oracle_hamiltonian,
     oracle_has_perfect_matching,
     oracle_stats,

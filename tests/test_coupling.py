@@ -23,7 +23,7 @@ from rig_lab import (
     sample_h_independent,
     sample_rig,
 )
-from rig_lab.graphs import clique_edges
+from oracles import clique_edges, oracle_couple_feature, oracle_run_coupling_trial
 
 
 def test_decompose_examples():
@@ -156,6 +156,47 @@ def test_run_coupling_trial_prefix_respects_guards():
             assert report.contained
         assert not report.regime_infeasible
     assert guard_hits >= 30  # concentration should make guards typical
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_run_coupling_trial_matches_set_oracle(data):
+    # tiny n, where features of size n take every vertex and padding meets
+    # the touched set, and m = 1 at p near 0, where at most one feature is active
+    n = data.draw(st.integers(3, 8))
+    if data.draw(st.booleans()):
+        p = FeatureProbabilities((1e-9,))
+    else:
+        p = FeatureProbabilities(data.draw(st.lists(
+            st.sampled_from([0.2, 0.5, 0.9, 1 - 1e-12]), min_size=1, max_size=6)))
+    omega = data.draw(st.sampled_from([0.1, 0.5, 2.0]))
+    seed = Seed(data.draw(st.integers(0, 2**64 - 1)))
+    assert run_coupling_trial(n, p, omega, seed) == oracle_run_coupling_trial(n, p, omega, seed)
+
+
+def test_run_coupling_trial_matches_set_oracle_at_guard_config():
+    # the configuration of test_run_coupling_trial_prefix_respects_guards
+    n = m = 600
+    p = FeatureProbabilities.homogeneous(m, homogeneous_p_for_target(n, m, math.log(n) / m))
+    seed = Seed(8)
+    for omega in (math.log(math.log(n)), 0.3):
+        for t in range(4):
+            report = run_coupling_trial(n, p, omega, seed.child("guard", t))
+            assert report == oracle_run_coupling_trial(n, p, omega, seed.child("guard", t))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_couple_feature_matches_set_oracle(data):
+    n = data.draw(st.integers(3, 8))
+    size = data.draw(st.sampled_from([0, n, *range(2, n + 1)]))
+    odd = size % 2 if size >= 2 else 0
+    seed = Seed(data.draw(st.integers(0, 2**64 - 1)))
+    assert couple_feature(size, odd, n, seed) == oracle_couple_feature(size, odd, n, seed)
+    # through a shared generator, the stream continues where each call left it
+    rng, oracle_rng = seed.rng(), seed.rng()
+    for _ in range(3):
+        assert couple_feature(size, odd, n, rng) == oracle_couple_feature(size, odd, n, oracle_rng)
 
 
 def test_collector_all_empty_features():

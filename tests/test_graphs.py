@@ -11,12 +11,10 @@ from rig_lab import (
     graph_to_text,
     hypergraph_from_text,
     hypergraph_to_text,
-    is_subgraph,
     project_hypergraph,
     project_rig,
-    union,
 )
-from oracles import oracle_project_rig
+from oracles import is_subgraph, oracle_project_rig, union
 
 
 def test_edges_are_canonical():

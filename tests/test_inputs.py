@@ -12,11 +12,16 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import rig_lab
 from rig_lab import RigInstance, ValidationError, cli, graph_from_text, hypergraph_from_text
 
 _TOKEN = st.one_of(st.integers(-2, 14).map(str),
@@ -193,6 +198,27 @@ def test_cli_gen_exits_0_or_2_on_any_config(doc, model):
         path = Path(tmp) / "gen.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         _run_cli(["gen", "--config", str(path)])
+
+
+@pytest.mark.parametrize("flags", [["--model", "poisson", "--lam", "1e300"],
+                                   ["--model", "poisson", "--lam", "1e15"],
+                                   ["--model", "draws", "--draws", str(10**15)]])
+def test_cli_gen_rejects_draw_counts_past_the_limit(flags):
+    # each is refused before any allocation: the draws would not fit in memory
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["gen", "--n", "5", "--arity", "2", *flags])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and "limit" in err.getvalue()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half of the import time of the command line
+    env = dict(os.environ, PYTHONPATH=str(Path(rig_lab.__file__).parents[1]))
+    code = "import sys, rig_lab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 _PROFILE = st.lists(st.floats(0, 1), min_size=1, max_size=12)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 
@@ -13,6 +15,7 @@ from rig_lab import (
     Seed,
     UnsupportedArity,
     ValidationError,
+    cli,
     plan_point,
     project_rig,
     run_sweep,
@@ -22,8 +25,8 @@ from rig_lab import (
     sample_rig,
 )
 from rig_lab.experiments import render_results_csv
-from rig_lab.sampling import draw_subsets, sample_subset, subset_rank, subset_unrank
-from oracles import oracle_project_rig, oracle_sample_rig
+from rig_lab.sampling import MAX_DRAWS, draw_subsets, sample_subset, unrank_subsets
+from oracles import oracle_project_rig, oracle_sample_rig, subset_rank, subset_unrank
 
 
 def test_probability_vector_validation():
@@ -134,8 +137,47 @@ def test_sample_streams_are_pinned():
         "ec3c0994a9910d2983f8a4ed6f1a25c5b1a5f4dcfe4389b258fa7fc0f69a2e42")
 
 
+_OUTPUT_PINS = [
+    (["couple", "--n", "300", "--m", "300", "--p", "0.019", "--trials", "5", "--seed", "7"],
+     "3133c653ab56358fb0b18ef0c11764e72c80ca0cba7a26f502c70340a633b8c6"),
+    (["couple", "--n", "300", "--m", "300", "--p", "0.019", "--omega", "0.5", "--trials", "5",
+      "--seed", "7"],
+     "5ef3120778a9d55b9e318b4d086a0b5c623a982ac34f0a77dfc2b81bdae30882"),
+    (["collector", "--n", "300", "--m", "300", "--p", "0.019", "--trials", "5", "--seed", "7"],
+     "0380a93fffd8aab98369e07ea4c9dd6747398a11afe56a0fef2df8cda91b4b67"),
+    (["gen", "--model", "draws", "--n", "40", "--arity", "2", "--draws", "300", "--hypergraph",
+      "--seed", "7"],
+     "c172762a5ec53fef973405af243ba33e06c9134009131aa7b4f8021467f35058"),
+    (["gen", "--model", "draws", "--n", "100000", "--arity", "3", "--draws", "300",
+      "--hypergraph", "--seed", "7"],
+     "0ca49da0e294e6c3fae498a7c4e300294610d7bd96cc4029140517db2e18248c"),
+    (["gen", "--model", "independent", "--n", "40", "--arity", "2", "--phat", "0.2",
+      "--hypergraph", "--seed", "7"],
+     "4359266cd10e0af571ca22e06da5f0438ee9cae627439ffdc33aaac5eeca9bf4"),
+    (["gen", "--model", "independent", "--n", "100000", "--arity", "3", "--phat", "1e-12",
+      "--hypergraph", "--seed", "7"],
+     "90a600fab9a3ec190405290fd82541c38bc209ce5bb67b5a3fdf809c22bd8fdc"),
+    (["gen", "--model", "poisson", "--n", "30", "--arity", "3", "--lam", "50", "--hypergraph",
+      "--seed", "7"],
+     "f4d87cc05618b3c9667ac3cd4ce260c03b1e5273401a9f83fbacac52e37a90f9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _OUTPUT_PINS)
+def test_coupling_and_gen_outputs_are_pinned(argv, digest):
+    # sha256 of the stdout of the couple, collector and gen commands: the
+    # pair, triple, padding, Poisson and coupon streams and the draw and
+    # independent hypergraph samplers, at sizes where the ranks need int64
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
 def test_h_independent_trivial_cases():
     assert len(sample_h_independent(20, 3, 0.0, Seed(1).child("h0")).hyperedges) == 0
+    for phat in (1e-300, 1e-19):  # the skips saturate at the int64 top
+        assert len(sample_h_independent(8, 2, phat, Seed(1)).hyperedges) == 0
     full = sample_h_independent(4, 3, 1.0, Seed(1).child("h1"))
     assert full.hyperedges == frozenset(itertools.combinations(range(4), 3))
     with pytest.raises(UnsupportedArity):
@@ -210,6 +252,10 @@ def test_h_independent_scales_with_hits_not_universe():
     count = len(h.hyperedges)
     assert abs(count - expected) < 5 * math.sqrt(expected)
     assert all(0 <= a < b < n for a, b in h.hyperedges)
+    # at the largest arity-3 universe the rank sums of one chunk pass 2**63
+    n = 3_810_779
+    h = sample_h_independent(n, 3, 50 / math.comb(n, 3), Seed(55).child("wide"))
+    assert 20 < len(h.hyperedges) < 100 and all(0 <= a < b < c < n for a, b, c in h.hyperedges)
 
 
 @given(st.data())
@@ -217,15 +263,49 @@ def test_h_independent_scales_with_hits_not_universe():
 def test_subset_rank_unrank_round_trip(data):
     arity = data.draw(st.sampled_from([2, 3]))
     rank = data.draw(st.integers(0, 10_000))
-    sub = subset_unrank(rank, arity)
+    sub = tuple(unrank_subsets(np.array([rank]), 1000, arity)[0].tolist())
     assert len(sub) == arity and all(a < b for a, b in zip(sub, sub[1:]))
     assert subset_rank(sub) == rank
 
 
 def test_unrank_enumerates_all_subsets():
-    for n, arity in ((5, 2), (7, 3)):
-        subs = {subset_unrank(r, arity) for r in range(math.comb(n, arity))}
-        assert subs == set(itertools.combinations(range(n), arity))
+    for n, arity in ((5, 2), (7, 3), (300, 2), (60, 3)):
+        rows = unrank_subsets(np.arange(math.comb(n, arity)), n, arity)
+        colex = sorted(itertools.combinations(range(n), arity), key=lambda sub: sub[::-1])
+        assert [tuple(row) for row in rows.tolist()] == colex
+
+
+def _unrank_probes(n, arity):
+    """Ranks 0, C(v, j) - 1, C(v, j) and C(n, arity) - 1 for v at the ends of
+    [arity, n) and spread between them, for every position j <= arity."""
+    total = math.comb(n, arity)
+    vs = {arity, arity + 1, n - 2, n - 1, *np.geomspace(arity, n - 1, 40).astype(np.int64).tolist()}
+    ranks = {0, total - 1}
+    for v in vs:
+        for j in range(1, arity + 1):
+            ranks.update(r for r in (math.comb(v, j) - 1, math.comb(v, j)) if 0 <= r < total)
+    return sorted(ranks)
+
+
+@pytest.mark.parametrize("n, arity", [(3, 2), (4, 2), (3000, 2), (10**6, 2), (2**32, 2),
+                                      (3, 3), (4, 3), (3000, 3), (3_810_779, 3)])
+def test_vectorized_unrank_matches_scalar_oracle(n, arity):
+    # 2**32 and 3,810,779 are the largest n whose C(n, arity) is an int64 rank bound
+    ranks = _unrank_probes(n, arity)
+    rows = unrank_subsets(np.array(ranks, dtype=np.int64), n, arity)
+    assert rows.dtype == np.int64 and rows.shape == (len(ranks), arity)
+    assert [tuple(row) for row in rows.tolist()] == [subset_unrank(r, arity) for r in ranks]
+    assert rows.max() < n
+
+
+@pytest.mark.parametrize("n, arity", [(2**32, 2), (3_810_779, 3)])
+def test_draw_subsets_at_the_largest_rank_range(n, arity):
+    rng = Seed(9).child("wide").rng()
+    ranks = Seed(9).child("wide").rng().integers(0, math.comb(n, arity), size=500)
+    rows = draw_subsets(n, arity, 500, rng)
+    assert [tuple(row) for row in rows.tolist()] == [subset_unrank(int(r), arity) for r in ranks]
+    with pytest.raises(ValidationError):
+        draw_subsets(n + 1, arity, 1, rng)  # C(n + 1, arity) is past the int64 ranks
 
 
 def test_sample_subset_uniformity():
@@ -246,4 +326,6 @@ def test_draw_subsets_validation():
         draw_subsets(2, 3, 1, rng)
     with pytest.raises(ValidationError):
         draw_subsets(5, 2, -1, rng)
-    assert draw_subsets(2, 3, 0, rng) == []  # zero draws need no vertices
+    with pytest.raises(ValidationError):
+        draw_subsets(5, 2, MAX_DRAWS + 1, rng)  # rejected before any allocation
+    assert draw_subsets(2, 3, 0, rng).shape == (0, 3)  # zero draws need no vertices

@@ -10,8 +10,6 @@ from rig_lab import (
     Seed,
     ThresholdStats,
     ValidationError,
-    balanced_feature_ratio,
-    c_from_s1,
     coupling_parameters,
     homogeneous_p_for_target,
     limit_probability,
@@ -19,7 +17,7 @@ from rig_lab import (
     refined_threshold_rhs,
     summary_stats,
 )
-from oracles import oracle_stats
+from oracles import balanced_feature_ratio, c_from_s1, oracle_stats
 
 
 def test_hand_example_n3():
