@@ -9,6 +9,7 @@ Monte Carlo sweep harness.
 __version__ = "0.1.0"  # set before the submodules load: experiments reads it
 
 from .errors import (
+    CoverageNotReached,
     DimensionMismatch,
     OutOfRangeError,
     PlanningError,
@@ -55,7 +56,6 @@ from .properties import (
     is_biconnected,
     is_connected,
     is_k_connected,
-    maximum_matching,
     min_degree,
     structure_audit,
     vertex_connectivity,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .errors import ValidationError
+from .errors import CoverageNotReached, ValidationError
 from .graphs import RigInstance, SimpleGraph, _sorted_rows, _unique_keys, project_rig
 from .sampling import (
     FeatureProbabilities,
@@ -325,7 +325,7 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     while covered_at < 0 and total < cap:
         next_draw()
     if covered_at < 0:
-        raise AssertionError(f"coupon coverage not reached within {cap} draws at n={n}")
+        raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
 
     sum_active = sum(dec.active_sizes)
     events = {

@@ -18,6 +18,10 @@ class OutOfRangeError(ValidationError):
     """Raised when a numeric solve is asked for an unattainable target."""
 
 
+class CoverageNotReached(ValidationError):
+    """Raised when a coupon collector run misses full coverage within its draw cap."""
+
+
 class PlanningError(Exception):
     """Raised when an experiment point cannot be parameterized.
 

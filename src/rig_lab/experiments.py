@@ -216,6 +216,8 @@ class TrialRecord:
     seed_word: int
     outcome: str  # "yes" | "no" | "unknown"
     min_degree: int
+    # wall seconds to sample, project and judge; outside the determinism contract
+    stage_seconds: tuple[float, float, float] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -402,9 +404,13 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
     """One seeded trial; a pure function of (config, point, trial)."""
     spec, k = parse_law_tag(config.theorem)
     trial_seed = Seed(config.master_seed).child(config.experiment_id, point.index, trial)
+    t0 = time.perf_counter()
     instance = sample_rig(point.n_vertices, point.probabilities, trial_seed.child("sample"))
+    t1 = time.perf_counter()
     g = project_rig(instance)
+    t2 = time.perf_counter()
     outcome, deg = _judge(spec, k, g, config.hc_budget, trial_seed)
+    t3 = time.perf_counter()
     return TrialRecord(
         point_index=point.index,
         c=point.c,
@@ -414,6 +420,7 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
         seed_word=trial_seed.state_word(),
         outcome=outcome,
         min_degree=deg,
+        stage_seconds=(t1 - t0, t2 - t1, t3 - t2),
     )
 
 
@@ -577,6 +584,13 @@ def render_limit_table(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def render_timings_csv(result: SweepResult) -> str:
+    """The sweep's wall time, then each trial stage's time summed over all trials."""
+    totals = [math.fsum(r.stage_seconds[i] for r in result.records) for i in range(3)]
+    return ("wall_seconds,sample_seconds,project_seconds,judge_seconds\n"
+            + ",".join(map(repr, [result.wall_seconds, *totals])) + "\n")
+
+
 def emit_outputs(result: SweepResult, out_dir) -> list[str]:
     """Write results.csv, summary.json and a gnuplot-ready table.
 
@@ -591,7 +605,7 @@ def emit_outputs(result: SweepResult, out_dir) -> list[str]:
             ("results.csv", render_results_csv(result)),
             ("summary.json", render_summary_json(result)),
             ("limit_table.dat", render_limit_table(result)),
-            ("timings.csv", f"wall_seconds\n{result.wall_seconds!r}\n"),
+            ("timings.csv", render_timings_csv(result)),
         ):
             path = out / name
             path.write_text(text, encoding="utf-8")

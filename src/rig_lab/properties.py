@@ -8,7 +8,10 @@
   (scipy) on its vertex-split network over the Esfahanian-Hakimi pair
   family.  Edge mode and the exact connectivity values use the same
   max-flow on the whole graph.
-* perfect matching, by maximum cardinality matching with blossom contraction
+* perfect matching: a cycle cover from Hopcroft-Karp on the bipartite
+  double cover (scipy), then Edmonds' blossom search over CSR rows from the
+  exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
+  replaced is ``oracle_maximum_matching`` in the tests)
 * Hamiltonicity, by a three-stage pipeline: exact necessary conditions,
   a rotation-extension heuristic (Yes answers only), and an exact phase
   (bitmask dynamic program for small n, pruned backtracking under a budget
@@ -25,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, depth_first_order, dijkstra, maximum_flow
+from scipy.sparse.csgraph import (connected_components, depth_first_order, dijkstra,
+                                  maximum_bipartite_matching, maximum_flow)
 
 from .errors import ValidationError
 from .graphs import Edge, SimpleGraph
@@ -157,100 +161,112 @@ def edge_connectivity(g: SimpleGraph) -> int:
     return best
 
 
-# --- maximum matching ---------------------------------------------------------
+# --- perfect matching ---------------------------------------------------------
 
 
-def _find_augmenting_path(adj: list[set[int]], n: int, match: list[int], root: int) -> bool:
-    """One phase of blossom search; augments the matching if a path is found."""
-    parent = [-1] * n
+def _augment_from(ptr: list[int], nbr: np.ndarray, mate: list[int], root: int) -> bool:
+    """Edmonds' search from the exposed vertex `root`: augment `mate` in place
+    along an augmenting path, or return False if there is none.  A vertex's
+    CSR row is read when it is popped, and blossom bases are union-find roots,
+    so a contraction touches only its own paths (Gabow, J. ACM 23, 1976)."""
+    n = len(mate)
+    parent = [-1] * n  # tree edge of an odd vertex; blossom edge of an even one
+    even = [False] * n
     base = list(range(n))
-    in_queue = [False] * n
-    in_queue[root] = True
-    q = deque([root])
+    even[root] = True
+    queue = deque([root])
+
+    def find(v: int) -> int:
+        while base[v] != v:
+            base[v] = base[base[v]]
+            v = base[v]
+        return v
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
-        while True:
-            a = base[a]
-            used[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        while True:
-            b = base[b]
-            if used[b]:
-                return b
-            b = parent[match[b]]
+        a = find(a)
+        path = {a}
+        while mate[a] != -1:  # up to the root, the one exposed base
+            a = find(parent[mate[a]])
+            path.add(a)
+        b = find(b)
+        while b not in path:
+            b = find(parent[mate[b]])
+        return b
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]):
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+    def contract(v: int, b: int, child: int) -> None:
+        # v's path down to base b joins the blossom and its odd vertices turn
+        # even; the walk may cross a blossom twice, so merge after it
+        merged = []
+        while (bv := find(v)) != b:
+            u = mate[v]
+            merged += (bv, find(u))
+            if not even[u]:
+                even[u] = True
+                queue.append(u)
             parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
+            child, v = u, parent[u]
+        for x in merged:
+            base[x] = b
 
-    while q:
-        v = q.popleft()
-        for to in adj[v]:
-            if base[v] == base[to] or match[v] == to:
-                continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                # odd cycle: contract the blossom down to its base
-                cur_base = lca(v, to)
-                in_blossom = [False] * n
-                mark_path(v, cur_base, to, in_blossom)
-                mark_path(to, cur_base, v, in_blossom)
-                for i in range(n):
-                    if in_blossom[base[i]]:
-                        base[i] = cur_base
-                        if not in_queue[i]:
-                            in_queue[i] = True
-                            q.append(i)
+    while queue:
+        v = queue.popleft()
+        for to in nbr[ptr[v]:ptr[v + 1]].tolist():
+            if even[to]:
+                if find(v) != find(to):
+                    b = lca(v, to)
+                    contract(v, b, to)
+                    contract(to, b, v)
             elif parent[to] == -1:
                 parent[to] = v
-                if match[to] == -1:
-                    while to != -1:
-                        u = parent[to]
-                        nxt = match[u]
-                        match[u] = to
-                        match[to] = u
-                        to = nxt
+                if mate[to] == -1:
+                    while to != -1:  # flip the path back to the root
+                        v = parent[to]
+                        mate[v], mate[to], to = to, v, mate[v]
                     return True
-                w = match[to]
-                if not in_queue[w]:
-                    in_queue[w] = True
-                    q.append(w)
+                even[mate[to]] = True
+                queue.append(mate[to])
     return False
 
 
-def maximum_matching(g: SimpleGraph) -> list[int]:
-    """Maximum cardinality matching; entry v holds v's partner or -1."""
-    n = g.n
-    adj = g.adjacency()
-    match = [-1] * n
-    for u in range(n):  # greedy warm start over pairs u < v in lexicographic order
-        if match[u] == -1:
-            for v in g.indices[g.indptr[u]:g.indptr[u + 1]].tolist():
-                if u < v and match[v] == -1:
-                    match[u] = v
-                    match[v] = u
-                    break
-    for v in range(n):
-        if match[v] == -1 and adj[v]:
-            _find_augmenting_path(adj, n, match, v)
-    return match
+def _perfect_matching(g: SimpleGraph) -> list[int] | None:
+    """A perfect matching of g (entry v is v's partner), or None if g has none.
+
+    Hopcroft-Karp (scipy) on the bipartite double cover either leaves a row
+    unmatched, and then g has no perfect matching, or gives a permutation
+    whose cycles run along edges of g.  Pairing consecutive vertices of each
+    cycle exposes one vertex per odd cycle, and a search from each exposed
+    vertex augments or shows that a maximum matching leaves it exposed.
+    """
+    cover = maximum_bipartite_matching(g.matrix(), perm_type="column")
+    if (cover < 0).any():
+        return None
+    succ = cover.tolist()
+    mate = [-1] * g.n
+    seen = bytearray(g.n)
+    exposed = []
+    for v in range(g.n):
+        while not seen[v]:
+            w = succ[v]
+            seen[v] = 1
+            if seen[w]:  # w starts this cycle, so the cycle is odd
+                exposed.append(v)
+                break
+            seen[w] = 1
+            mate[v], mate[w] = w, v
+            v = succ[w]
+    ptr = g.indptr.tolist()
+    for root in exposed:
+        if mate[root] == -1 and not _augment_from(ptr, g.indices, mate, root):
+            return None
+    return mate
 
 
 def has_perfect_matching(g: SimpleGraph) -> bool:
-    if g.n % 2 == 1:
-        return False
     if g.n == 0:
         return True
-    if min_degree(g) == 0:
+    if g.n % 2 == 1 or min_degree(g) == 0:
         return False
-    match = maximum_matching(g)
-    return all(p != -1 for p in match)
+    return _perfect_matching(g) is not None
 
 
 # --- Hamiltonicity ------------------------------------------------------------

@@ -220,6 +220,90 @@ def oracle_has_perfect_matching(n, edges):
     return rec(frozenset(range(n)))
 
 
+def _oracle_augment(adj, n, match, root):
+    """One phase of blossom search with O(n) contractions; augments the
+    matching if a path is found."""
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+    in_queue[root] = True
+    q = deque([root])
+
+    def lca(a, b):
+        used = [False] * n
+        while True:
+            a = base[a]
+            used[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if used[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v, b, child, in_blossom):
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while q:
+        v = q.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                cur_base = lca(v, to)
+                in_blossom = [False] * n
+                mark_path(v, cur_base, to, in_blossom)
+                mark_path(to, cur_base, v, in_blossom)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = cur_base
+                        if not in_queue[i]:
+                            in_queue[i] = True
+                            q.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                if match[to] == -1:
+                    while to != -1:
+                        u = parent[to]
+                        nxt = match[u]
+                        match[u] = to
+                        match[to] = u
+                        to = nxt
+                    return True
+                w = match[to]
+                if not in_queue[w]:
+                    in_queue[w] = True
+                    q.append(w)
+    return False
+
+
+def oracle_maximum_matching(n, edges):
+    """The blossom matcher the library used before its double-cover warm
+    start: a greedy warm start over pairs u < v in lexicographic order, then
+    one blossom search from each exposed vertex.  Entry v holds v's partner
+    or -1."""
+    adj = _adj_sets(n, edges)
+    match = [-1] * n
+    for u in range(n):
+        if match[u] == -1:
+            for v in sorted(adj[u]):
+                if u < v and match[v] == -1:
+                    match[u] = v
+                    match[v] = u
+                    break
+    for v in range(n):
+        if match[v] == -1 and adj[v]:
+            _oracle_augment(adj, n, match, v)
+    return match
+
+
 def oracle_hamiltonian(n, edges):
     """Exhaustive depth-first enumeration of simple cycles through vertex 0."""
     if n < 3:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rig_lab import (
+    CoverageNotReached,
     FeatureProbabilities,
     RigInstance,
     Seed,
@@ -220,6 +221,33 @@ def test_collector_single_full_feature():
     assert report.active_size_sum == n
     assert report.covered_at == report.total_draws
     assert report.delta_ge_1
+
+
+class _NeverVertexZero:
+    """A coupon stream on which vertex 0 never comes up: each 0 drawn becomes 1."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def integers(self, low, high, size):
+        draws = self.rng.integers(low, high, size=size)
+        draws[draws == 0] = 1
+        return draws
+
+
+def test_collector_coverage_cap_is_a_typed_error(monkeypatch, capsys):
+    from rig_lab import cli
+
+    original = Seed.rng
+    monkeypatch.setattr(Seed, "rng", lambda self: _NeverVertexZero(original(self))
+                        if self.labels[-1] == "coupons" else original(self))
+    with pytest.raises(CoverageNotReached, match="coverage not reached"):
+        coupon_collector_trial(12, FeatureProbabilities.homogeneous(3, 0.3), 2.0, Seed(5))
+    assert issubclass(CoverageNotReached, ValidationError)
+    rc = cli.main(["collector", "--n", "20", "--m", "20", "--p", "0.1", "--trials", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: coupon coverage not reached") and "Traceback" not in err
 
 
 def test_collector_events_and_sandwich():

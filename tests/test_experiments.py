@@ -129,6 +129,13 @@ def test_sweep_determinism_and_thread_independence(tmp_path):
     emit_outputs(res2, tmp_path / "b")
     for name in ("results.csv", "summary.json", "limit_table.dat"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for side in ("a", "b"):  # timings.csv: wall time, then per-stage totals over all trials
+        header, row = (tmp_path / side / "timings.csv").read_text().splitlines()
+        assert header == "wall_seconds,sample_seconds,project_seconds,judge_seconds"
+        wall, *stages = map(float, row.split(","))
+        assert all(t > 0 for t in stages)
+        if side == "a":  # one process: the stages run inside the sweep's wall time
+            assert sum(stages) <= wall
 
 
 def test_sweep_consistency_assertions_hold():

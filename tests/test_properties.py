@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from rig_lab import (
     AuditParams,
@@ -13,14 +15,14 @@ from rig_lab import (
     has_perfect_matching,
     is_connected,
     is_k_connected,
-    maximum_matching,
     min_degree,
     structure_audit,
     vertex_connectivity,
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
-from rig_lab.properties import _scan_first_certificate, is_biconnected
+from rig_lab.properties import (_augment_from, _perfect_matching, _scan_first_certificate,
+                                is_biconnected)
 from rig_lab.sampling import sample_rig
 from conftest import random_graph
 from oracles import (
@@ -30,6 +32,7 @@ from oracles import (
     oracle_hamiltonian,
     oracle_has_perfect_matching,
     oracle_is_connected,
+    oracle_maximum_matching,
     oracle_vertex_connectivity,
     oracle_vertex_k_connected,
 )
@@ -233,8 +236,101 @@ def test_matching_examples(petersen):
     assert has_perfect_matching(cycle(4))
     assert not has_perfect_matching(complete(3))
     assert has_perfect_matching(petersen)
-    match = maximum_matching(petersen)
+    match = oracle_maximum_matching(petersen.n, petersen.edges)
     assert sorted(match) == sorted(range(10))
+
+
+def assert_matching_agrees(g):
+    """has_perfect_matching against the old blossom matcher (and the exhaustive
+    oracle on small graphs), and the helper's matching checked edge by edge."""
+    expected = -1 not in oracle_maximum_matching(g.n, g.edges)
+    assert has_perfect_matching(g) == expected, (g.n, g.edge_list())
+    if g.n <= 12:
+        assert oracle_has_perfect_matching(g.n, g.edges) == expected
+    if expected and g.n:
+        mate = _perfect_matching(g)
+        assert all(mate[mate[v]] == v != mate[v] and g.has_edge(v, mate[v]) for v in range(g.n))
+
+
+def test_perfect_matching_matches_oracles_on_random_graphs():
+    rng = np.random.default_rng(20260811 + 9)  # criterion 9's graphs
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        assert_matching_agrees(random_graph(rng, n, float(rng.uniform(0.1, 0.9))))
+    for _ in range(300):  # sparse even graphs, where odd cycles and blossoms are common
+        n = 2 * int(rng.integers(5, 30))
+        assert_matching_agrees(random_graph(rng, n, float(rng.uniform(1.0, 4.0)) / n))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_perfect_matching_matches_oracles_on_hypothesis_graphs(data):
+    n = data.draw(st.integers(0, 12))
+    end = st.integers(0, max(n - 1, 0))
+    pairs = data.draw(st.lists(st.tuples(end, end), max_size=3 * n))
+    assert_matching_agrees(SimpleGraph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+
+
+def odd_cycles_with_chords(rng, n_min):
+    """Disjoint cycles of 3, 5 and 7 vertices, at least n_min and an even count
+    in all, plus random chords: the cycle covers leave many exposed vertices."""
+    sizes = []
+    while sum(sizes) < n_min or sum(sizes) % 2:
+        sizes.append(int(rng.choice([3, 3, 5, 7])))
+    n = sum(sizes)
+    starts = np.cumsum([0] + sizes)
+    edges = [(a + i, a + (i + 1) % s) for a, s in zip(starts, sizes) for i in range(s)]
+    chords = rng.integers(n, size=(int(rng.integers(0, n)), 2))
+    return SimpleGraph(n, edges + [(int(u), int(v)) for u, v in chords if u != v])
+
+
+def test_perfect_matching_matches_oracles_on_odd_cycle_graphs():
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        assert_matching_agrees(odd_cycles_with_chords(rng, int(rng.integers(6, 40))))
+
+
+def test_blossom_search_walks_through_a_contracted_blossom():
+    # a search that merged each blossom in the middle of its contraction walk
+    # stopped that walk early here and missed the augmenting path from 1 to 4
+    g = SimpleGraph(22, [(0, 1), (0, 2), (1, 2), (1, 10), (1, 20), (3, 4), (3, 5), (3, 20),
+                         (4, 5), (6, 7), (6, 12), (7, 8), (8, 9), (9, 17), (10, 15), (11, 12),
+                         (11, 15), (13, 14), (16, 17), (16, 18), (17, 18), (18, 19), (19, 21),
+                         (20, 21)])
+    mate = [2, -1, 0, 5, -1, 3, 7, 6, 9, 8, 15, 12, 11, 14, 13, 10, 17, 16, 19, 18, 21, 20]
+    assert _augment_from(g.indptr.tolist(), g.indices, mate, 1)
+    assert all(mate[mate[v]] == v != mate[v] and g.has_edge(v, mate[v]) for v in range(g.n))
+
+
+def hub_with_arms(length, arms=3):
+    """Triangles joined to hub 0, each by a path of `length` edges to one corner."""
+    edges, n = [], 1
+    for _ in range(arms):
+        arm = [0] + list(range(n, n + length + 2))
+        edges += list(zip(arm, arm[1:])) + [(arm[-1], arm[-3])]
+        n += length + 2
+    return SimpleGraph.from_edges(n, edges)
+
+
+def test_perfect_matching_tutte_obstructions(petersen):
+    star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    triangles = cycles([0, 1, 2], [3, 4, 5], n=6)
+    chain = cycles([0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], n=12)
+    chain = SimpleGraph(12, chain.edges | {(2, 3), (5, 6), (8, 9)})
+    # (name, graph, has a perfect matching, double cover has one too)
+    cases = [
+        ("star K_{1,3}", star, False, False),
+        ("three triangles off one cut vertex", hub_with_arms(1), False, True),
+        ("three triangles on paths of 3 edges to a hub", hub_with_arms(3), False, True),
+        ("two disjoint triangles", triangles, False, True),
+        ("two triangles joined by an edge", SimpleGraph(6, triangles.edges | {(2, 3)}), True, True),
+        ("four triangles joined in a chain", chain, True, True),
+        ("Petersen", petersen, True, True),
+    ]
+    for name, g, expected, cover in cases:
+        assert (maximum_bipartite_matching(g.matrix(), perm_type="column") >= 0).all() == cover, name
+        assert has_perfect_matching(g) == expected, name
+        assert_matching_agrees(g)
 
 
 def test_hamiltonicity_examples(petersen):
