@@ -10,7 +10,6 @@ __version__ = "0.1.0"  # set before the submodules load: experiments reads it
 
 from .errors import (
     CoverageNotReached,
-    DimensionMismatch,
     OutOfRangeError,
     PlanningError,
     UnsupportedArity,

@@ -6,10 +6,6 @@ class ValidationError(ValueError):
     bad count, parity mismatch, NaN, ...)."""
 
 
-class DimensionMismatch(ValidationError):
-    """Raised when two graphs with different vertex counts are combined."""
-
-
 class UnsupportedArity(ValidationError):
     """Raised for hypergraph arities outside the supported set {2, 3}."""
 

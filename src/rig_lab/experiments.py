@@ -38,6 +38,7 @@ from .properties import (
 )
 from .sampling import FeatureProbabilities, Seed, _encode_label, sample_rig
 from .thresholds import (
+    _scale_explicit,
     default_omega,
     homogeneous_p_for_target,
     limit_probability,
@@ -294,40 +295,6 @@ def _solve_refined(n: int, m: int, kind: str, k: int, c: float) -> float:
     return p
 
 
-def _scale_explicit(n: int, base: tuple[float, ...], s1_target: float) -> FeatureProbabilities:
-    """Scale a base profile by a scalar (entries clipped into (0,1)) to hit S1."""
-    top = 1.0 - 1e-12
-
-    def stats_for(scale: float):
-        vals = tuple(min(top, max(1e-300, scale * b)) for b in base)
-        return FeatureProbabilities(vals)
-
-    def s1_of(scale: float) -> float:
-        return summary_stats(n, stats_for(scale), t_max=2).S1
-
-    hi = 1.0
-    while s1_of(hi) < s1_target:
-        hi *= 2.0
-        if hi > 1e9:
-            raise OutOfRangeError(f"explicit profile cannot reach S1 target {s1_target}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if s1_of(mid) <= s1_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(hi, 1e-300):
-            break
-    scale = 0.5 * (lo + hi)
-    achieved = s1_of(scale)
-    if abs(achieved - s1_target) / s1_target > 1e-8:
-        raise OutOfRangeError(
-            f"profile scaling residual {abs(achieved - s1_target) / s1_target:.2e} "
-            f"exceeds 1e-8 for S1 target {s1_target}")
-    return stats_for(scale)
-
-
 def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoint:
     """Resolve one grid value into a fully specified model."""
     spec, k = parse_law_tag(config.theorem)
@@ -354,17 +321,9 @@ def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoi
             else:
                 probs = _scale_explicit(n, tuple(config.profile["values"]), s1_target)
         st = summary_stats(n, probs, t_max=2)
-        return PlannedPoint(
-            index=index,
-            c=float(c),
-            n_vertices=n,
-            m=m,
-            probabilities=probs,
-            s1_target=s1_target,
-            s1_achieved=st.S1,
-            a_n=st.a_n,
-            predicted=_predicted_value(spec, float(c)),
-        )
+        return PlannedPoint(index=index, c=float(c), n_vertices=n, m=m, probabilities=probs,
+                            s1_target=s1_target, s1_achieved=st.S1, a_n=st.a_n,
+                            predicted=_predicted_value(spec, float(c)))
     except (OutOfRangeError, ValidationError) as exc:
         raise PlanningError(f"cannot plan {config.theorem} point c={c}: {exc}") from exc
 

@@ -6,11 +6,11 @@ duplicate-free rows, so equality is array equality and the upper triangle,
 read row by row, is the lexicographic edge order of the text format.  The
 ``edges`` frozenset of (u, v) pairs with u < v is a view derived from the
 arrays.  A RigInstance is stored the same way, as feature offsets
-(``indptr``) into one array of sorted member rows, and its projection is
-built from those arrays.  Both constructors build their rows with
-``_sorted_rows``: sort int64 keys ``row * width + column``, mask repeats,
-and cut the rows by ``searchsorted``.  All types are frozen; operations
-return new values.
+(``indptr``) into one array of sorted member rows, and projected by sorting
+the keys ``u * n + v`` of all clique pairs, one feature size at a time.  The
+constructors and the projection build rows with ``_sorted_rows``: sort
+integer keys ``row * width + column``, mask repeats, and cut the rows by
+``searchsorted``.  All types are frozen; operations return new values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
 
 from .errors import ValidationError
 
@@ -62,10 +62,11 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
 
 
 def _sorted_rows(keys: np.ndarray, width: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR ``(indptr, columns)`` of ``rows`` sorted, duplicate-free rows,
-    from int64 keys ``row * width + column`` in any order, with repeats."""
+    """CSR ``(indptr, columns)`` of ``rows`` sorted, duplicate-free rows, both
+    int64, from int32 or int64 keys ``row * width + column`` in any order."""
     keys = _unique_keys(keys)
-    return np.searchsorted(keys, np.arange(rows + 1) * width), keys % max(width, 1)
+    return (np.searchsorted(keys, np.arange(rows + 1, dtype=keys.dtype) * width),
+            (keys % max(width, 1)).astype(np.int64, copy=False))
 
 
 class SimpleGraph(_ArrayValue):
@@ -99,16 +100,11 @@ class SimpleGraph(_ArrayValue):
         return cls(n, pairs)
 
     @classmethod
-    def _from_matrix(cls, matrix) -> "SimpleGraph":
-        """Graph of the off-diagonal nonzero pattern of a symmetric sparse matrix."""
-        a = csr_array(matrix)
-        a.sum_duplicates()  # sorts every row and merges repeats
-        n = a.shape[0]
-        tails = np.repeat(np.arange(n), np.diff(a.indptr))
-        off = a.indices != tails
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(tails[off], minlength=n))))
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "SimpleGraph":
+        """Graph of arc keys ``u * n + v``: both orientations, no loops, any order."""
         g = cls.__new__(cls)
-        g._set_fields(n=n, indptr=indptr, indices=a.indices[off].astype(np.int64))
+        indptr, indices = _sorted_rows(keys, n, n)
+        g._set_fields(n=n, indptr=indptr, indices=indices)
         return g
 
     def edge_count(self) -> int:
@@ -225,12 +221,28 @@ class RigInstance(_ArrayValue):
         return frozenset(owners[self.members == v].tolist())
 
 
+_KEY_CAP = 1 << 19  # pending clique-pair keys past which projection folds them
+
+
 def _clique_union(n: int, indptr: np.ndarray, members: np.ndarray) -> SimpleGraph:
-    """Union of the cliques on the rows of an incidence: the off-diagonal
-    pattern of B B^T, where column i of the n x m incidence B is the row
-    ``members[indptr[i]:indptr[i + 1]]``."""
-    b = csc_array((np.ones(len(members)), members, indptr), shape=(n, len(indptr) - 1))
-    return SimpleGraph._from_matrix(b @ b.T)
+    """Union of the cliques on the rows ``members[indptr[i]:indptr[i + 1]]``:
+    keys ``u * n + v`` off the diagonal of an s x s grid per row of size s, in
+    blocks of rows with at most ``_KEY_CAP`` keys, or of one row whose clique
+    passes it.  Pending keys fold into the distinct ones once they pass the cap
+    and the distinct count, so memory stays within a few caps and edge sets."""
+    sizes = np.diff(indptr)
+    # int32 keys, where n * n fits, halve the memory that the sorts move
+    members = members.astype(np.int32 if n * n < 2**31 else np.int64, copy=False)
+    distinct, pending = np.empty(0, dtype=members.dtype), []
+    for s in np.unique(sizes[sizes > 1]).tolist():
+        rows = members[indptr[:-1][sizes == s, None] + np.arange(s)]  # (count, s)
+        off, step = ~np.eye(s, dtype=bool), max(1, _KEY_CAP // (s * s))
+        for f in range(0, len(rows), step):
+            block = rows[f:f + step]
+            pending.append((block[:, :, None] * n + block[:, None, :])[:, off].ravel())
+            if sum(map(len, pending)) > max(_KEY_CAP, len(distinct)):
+                distinct, pending = _unique_keys(np.concatenate([distinct, *pending])), []
+    return SimpleGraph._from_keys(n, np.concatenate([distinct, *pending]))
 
 
 def project_hypergraph(h: UniformHypergraph) -> SimpleGraph:

@@ -1,13 +1,13 @@
 """Exact and budgeted decision procedures for graph properties.
 
 * minimum degree, from the CSR row lengths of the graph
-* k-connectivity (vertex or edge).  Vertex mode: ``scipy.sparse.csgraph``
-  connected components for k = 1, low points over scipy's depth-first
-  tree for k = 2, and for k >= 3 the exact vertex connectivity of a
-  scan-first sparse certificate of at most k(n-1) edges: Dinic max-flow
-  (scipy) on its vertex-split network over the Esfahanian-Hakimi pair
-  family.  Edge mode and the exact connectivity values use the same
-  max-flow on the whole graph.
+* k-connectivity (vertex or edge).  Vertex mode: one breadth-first search
+  from vertex 0 (``scipy.sparse.csgraph``) for k = 1, low points over
+  scipy's depth-first tree for k = 2, and for k >= 3 the exact vertex
+  connectivity of a scan-first sparse certificate of at most k(n-1) edges:
+  Dinic max-flow (scipy) on its vertex-split network over the
+  Esfahanian-Hakimi pair family.  Edge mode and the exact connectivity
+  values use the same max-flow on the whole graph.
 * perfect matching: a cycle cover from Hopcroft-Karp on the bipartite
   double cover (scipy), then Edmonds' blossom search over CSR rows from the
   exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import (connected_components, depth_first_order, dijkstra,
+from scipy.sparse.csgraph import (breadth_first_order, depth_first_order, dijkstra,
                                   maximum_bipartite_matching, maximum_flow)
 
 from .errors import ValidationError
@@ -45,8 +45,9 @@ def min_degree(g: SimpleGraph) -> int:
 
 
 def is_connected(g: SimpleGraph) -> bool:
-    return g.n == 0 or connected_components(g.matrix(), directed=False,
-                                            return_labels=False) == 1
+    # directed=True: the store is symmetric, and directed=False builds a transpose
+    return g.n == 0 or len(breadth_first_order(g.matrix(), 0, directed=True,
+                                               return_predecessors=False)) == g.n
 
 
 # --- connectivity by max-flow ------------------------------------------------
@@ -657,7 +658,8 @@ def _close_low_degree_pairs(g: SimpleGraph, low: list[int]) -> int:
     """Exact count of pairs of distinct vertices in `low` at graph distance <= 5."""
     if len(low) < 2:
         return 0
-    dist = dijkstra(g.matrix(), directed=False, indices=low, unweighted=True, limit=5)
+    # directed=True: the store is symmetric, and directed=False builds a transpose
+    dist = dijkstra(g.matrix(), directed=True, indices=low, unweighted=True, limit=5)
     return int(np.triu(np.isfinite(dist[:, low]), 1).sum())
 
 

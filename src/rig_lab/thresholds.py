@@ -98,6 +98,11 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
 
+def _s1(n: int, arr: np.ndarray) -> float:
+    """S1 = sum_i n*p_i*(1 - (1-p_i)^(n-1)) over a probability array."""
+    return _fsum(n * arr * -np.expm1((n - 1) * np.log1p(-arr)))
+
+
 def summary_stats(n: int, p: FeatureProbabilities, t_max: int | None = None) -> ThresholdStats:
     """Evaluate S1, S2, S3 and S1t for t = 2..t_max."""
     if n < 2:
@@ -109,15 +114,11 @@ def summary_stats(n: int, p: FeatureProbabilities, t_max: int | None = None) -> 
     arr = p.as_array()
     np_i = n * arr
     q_pow = _pow_1m_p(arr, n - 1)                     # (1-p)^(n-1)
-    one_m_q = -np.expm1((n - 1) * np.log1p(-arr))     # 1 - (1-p)^(n-1)
     one_m_w = _one_minus_pow_1m_2p(arr, n)            # 1 - (1-2p)^n
     # per-feature terms, expanded so that p never sits in a denominator
-    s1_terms = np_i * one_m_q
-    s2_terms = np_i - one_m_w / 2.0
-    s3_terms = one_m_w / 2.0 - np_i * q_pow
-    s1 = _fsum(s1_terms)
-    s2 = _fsum(s2_terms)
-    s3 = _fsum(s3_terms)
+    s1 = _s1(n, arr)
+    s2 = _fsum(np_i - one_m_w / 2.0)
+    s3 = _fsum(one_m_w / 2.0 - np_i * q_pow)
     log_p = np.log(arr)
     log_q = np.log1p(-arr)
     s1t = []
@@ -243,6 +244,37 @@ def homogeneous_p_for_target(n: int, m: int, rhs: float) -> float:
     if resid > 1e-10:
         raise OutOfRangeError(f"bisection residual {resid:.3e} exceeds 1e-10 for target {rhs}")
     return p
+
+
+def _scale_explicit(n: int, base: tuple[float, ...], s1_target: float) -> FeatureProbabilities:
+    """Scale a base profile by a scalar (entries clipped into (0,1)) to hit S1,
+    searching on arrays and building the FeatureProbabilities once."""
+    base = np.asarray(base, dtype=np.float64)
+
+    def scaled(scale: float) -> np.ndarray:
+        # fmax, like the builtin max it replaced, clips a NaN entry to 1e-300
+        return np.minimum(1.0 - 1e-12, np.fmax(1e-300, scale * base))
+
+    hi = 1.0
+    while _s1(n, scaled(hi)) < s1_target:
+        hi *= 2.0
+        if hi > 1e9:
+            raise OutOfRangeError(f"explicit profile cannot reach S1 target {s1_target}")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _s1(n, scaled(mid)) <= s1_target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(hi, 1e-300):
+            break
+    probs = scaled(0.5 * (lo + hi))
+    resid = abs(_s1(n, probs) - s1_target) / s1_target
+    if resid > 1e-8:
+        raise OutOfRangeError(
+            f"profile scaling residual {resid:.2e} exceeds 1e-8 for S1 target {s1_target}")
+    return FeatureProbabilities(tuple(probs.tolist()))
 
 
 def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:

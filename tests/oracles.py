@@ -12,9 +12,15 @@ from collections import deque
 
 import mpmath
 import numpy as np
+from scipy.sparse import csc_array
 
-from rig_lab import DimensionMismatch, SimpleGraph, ValidationError, summary_stats
+from rig_lab import (FeatureProbabilities, OutOfRangeError, SimpleGraph, ValidationError,
+                     summary_stats)
 from rig_lab.coupling import CouplingReport, decompose_sizes
+
+
+class DimensionMismatch(ValidationError):
+    """Raised when two graphs with different vertex counts are combined."""
 
 
 def _adj_sets(n, edges):
@@ -72,6 +78,16 @@ def oracle_project_rig(feature_sets):
     for s in feature_sets:
         edges.update(itertools.combinations(sorted(s), 2))
     return frozenset(edges)
+
+
+def oracle_clique_union(n, indptr, members):
+    """The projection the library used before its key-sort path: the
+    off-diagonal pattern of the sparse product B B^T, where column i of the
+    n x m incidence B is the row ``members[indptr[i]:indptr[i + 1]]``."""
+    b = csc_array((np.ones(len(members)), members, indptr), shape=(n, len(indptr) - 1))
+    product = (b @ b.T).tocoo()
+    off = product.row != product.col
+    return SimpleGraph(n, zip(product.row[off].tolist(), product.col[off].tolist()))
 
 
 def oracle_is_connected(n, edges):
@@ -547,3 +563,40 @@ def oracle_run_coupling_trial(n, p, omega, seed):
         regime_infeasible=not (s3 > omega * omega * sqrt_s1),
         omega=omega,
     )
+
+
+# --- the explicit-profile scaling the planner used before its array search --
+
+
+def oracle_scale_explicit(n, base, s1_target):
+    """Scale a base profile by a scalar (entries clipped into (0,1)) to hit S1,
+    building a FeatureProbabilities at every search step."""
+    top = 1.0 - 1e-12
+
+    def stats_for(scale):
+        return FeatureProbabilities(tuple(min(top, max(1e-300, scale * b)) for b in base))
+
+    def s1_of(scale):
+        return summary_stats(n, stats_for(scale), t_max=2).S1
+
+    hi = 1.0
+    while s1_of(hi) < s1_target:
+        hi *= 2.0
+        if hi > 1e9:
+            raise OutOfRangeError(f"explicit profile cannot reach S1 target {s1_target}")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if s1_of(mid) <= s1_target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * max(hi, 1e-300):
+            break
+    scale = 0.5 * (lo + hi)
+    achieved = s1_of(scale)
+    if abs(achieved - s1_target) / s1_target > 1e-8:
+        raise OutOfRangeError(
+            f"profile scaling residual {abs(achieved - s1_target) / s1_target:.2e} "
+            f"exceeds 1e-8 for S1 target {s1_target}")
+    return stats_for(scale)

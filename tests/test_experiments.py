@@ -19,7 +19,9 @@ from rig_lab import (
     wilson_interval,
 )
 from rig_lab.experiments import parse_law_tag, render_results_csv, render_summary_json
+from rig_lab.thresholds import _scale_explicit
 from rig_lab import cli
+from oracles import oracle_scale_explicit
 
 
 def make_config(**overrides):
@@ -357,3 +359,16 @@ def test_cli_couple_and_collector(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("base, clipped", [
+    ([1.0, 4.0] * 1000, 0),
+    ([i ** -0.5 for i in range(1, 2001)], 0),  # heavy-tailed
+    ([1.0] * 5 + [1e-4] * 1995, 5),  # the five large entries clip at 1 - 1e-12
+])
+def test_scale_explicit_matches_per_step_profiles(base, clipped):
+    n = 2000
+    s1_target = n * (math.log(n) + 1.0)
+    planned = _scale_explicit(n, tuple(base), s1_target)
+    assert planned.values == oracle_scale_explicit(n, tuple(base), s1_target).values
+    assert planned.values.count(1.0 - 1e-12) == clipped

@@ -1,8 +1,10 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rig_lab import (
-    DimensionMismatch,
     RigInstance,
     SimpleGraph,
     UniformHypergraph,
@@ -14,7 +16,8 @@ from rig_lab import (
     project_hypergraph,
     project_rig,
 )
-from oracles import is_subgraph, oracle_project_rig, union
+from rig_lab import graphs
+from oracles import DimensionMismatch, is_subgraph, oracle_clique_union, oracle_project_rig, union
 
 
 def test_edges_are_canonical():
@@ -90,6 +93,79 @@ def test_project_rig_matches_clique_union(data):
     sets = [frozenset(data.draw(st.sets(st.integers(0, n - 1), max_size=n))) for _ in range(m)]
     inst = RigInstance(n, m, tuple(sets))
     assert project_rig(inst).edges == oracle_project_rig(sets)
+
+
+@st.composite
+def incidences(draw):
+    """Incidences mixing empty, singleton, full, repeated and random features."""
+    n = draw(st.integers(0, 12))
+    kinds = [st.just(frozenset()), st.just(frozenset(range(n)))]
+    if n:
+        vertex = st.integers(0, n - 1)
+        kinds += [vertex.map(lambda v: frozenset({v})), st.sets(vertex, max_size=n).map(frozenset)]
+    sets = draw(st.lists(st.one_of(kinds), max_size=6))
+    copies = draw(st.integers(0, 3))
+    if sets and copies:
+        sets += [sets[0]] * copies
+    return RigInstance(n, len(sets), tuple(sets))
+
+
+def _assert_matches_sparse_product(inst):
+    g = project_rig(inst)
+    assert g == oracle_clique_union(inst.n, inst.indptr, inst.members)
+    assert g.edges == oracle_project_rig(inst.feature_sets)
+
+
+@given(incidences())
+@settings(max_examples=150, deadline=None)
+def test_projection_matches_sparse_product(inst):
+    _assert_matches_sparse_product(inst)
+
+
+@given(incidences())
+@settings(max_examples=60, deadline=None)
+def test_projection_with_tiny_key_cap_folds_each_block(inst):
+    # a cap of 3 keys makes every block one row and folds after each block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_KEY_CAP", 3)
+        _assert_matches_sparse_product(inst)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_hypergraph_projection_matches_sparse_product(data):
+    arity = data.draw(st.sampled_from((2, 3)))
+    n = data.draw(st.integers(arity, 9))
+    edge = st.sets(st.integers(0, n - 1), min_size=arity, max_size=arity).map(tuple)
+    h = UniformHypergraph(n, arity, frozenset(data.draw(st.lists(edge, max_size=12))))
+    members = np.array(sorted(h.hyperedges), dtype=np.int64).reshape(-1)
+    indptr = np.arange(0, len(members) + 1, arity)
+    assert project_hypergraph(h) == oracle_clique_union(n, indptr, members)
+
+
+def test_projection_past_int32_keys_matches_sparse_product():
+    # n * n >= 2**31, so the clique-pair keys need int64
+    n = 50_000
+    inst = RigInstance(n, 3, ({0, 3, n - 1}, {5, n - 1}, range(n - 4, n)))
+    _assert_matches_sparse_product(inst)
+    assert project_rig(inst).has_edge(3, n - 1) and project_rig(inst).indices.dtype == np.int64
+
+
+def test_projection_memory_stays_bounded_under_heavy_overlap():
+    # 60 copies of one 600-member feature: 60 * 600 * 599 = 21.6M ordered pairs
+    # (173 MiB of int64 keys) for 179,700 distinct edges
+    n, copies, size = 1000, 60, 600
+    inst = RigInstance(n, copies, [range(size)] * copies)
+    unfolded = copies * size * (size - 1) * 8
+    tracemalloc.start()
+    try:
+        g = project_rig(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() == size * (size - 1) // 2
+    assert g.degrees().tolist() == [size - 1] * size + [0] * (n - size)
+    assert peak < unfolded / 4
 
 
 @given(st.data())

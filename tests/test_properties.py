@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import maximum_bipartite_matching
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from rig_lab import (
     AuditParams,
@@ -78,6 +78,32 @@ def test_k_connectivity_against_bfs_reachability():
         g = random_graph(rng, n, float(rng.uniform(0.02, 0.3)))
         assert is_k_connected(g, 1) == oracle_is_connected(g.n, g.edges)
         assert is_connected(g) == oracle_is_connected(g.n, g.edges)
+
+
+def _undirected_components(g):
+    return connected_components(g.matrix(), directed=False, return_labels=False)
+
+
+def test_is_connected_matches_undirected_components():
+    star = [(0, v) for v in range(1, 6)]
+    path = [(v, v + 1) for v in range(1, 5)]
+    cases = [
+        SimpleGraph(0), SimpleGraph(1),
+        SimpleGraph.from_edges(6, path),  # vertex 0 isolated, the rest a path
+        SimpleGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two components
+        SimpleGraph.from_edges(6, star),
+    ]
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 80))
+        cases.append(random_graph(rng, n, math.log(n) / n * float(rng.uniform(0.5, 1.5))))
+    verdicts = set()
+    for g in cases:
+        expected = g.n == 0 or _undirected_components(g) == 1
+        assert is_connected(g) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    assert [is_connected(g) for g in cases[:5]] == [True, True, False, False, True]
 
 
 def test_checkers_match_oracles_small_graphs():
