@@ -49,7 +49,6 @@ from .properties import (
     AuditParams,
     AuditReport,
     HamiltonicityVerdict,
-    edge_connectivity,
     hamiltonicity,
     has_perfect_matching,
     is_biconnected,
@@ -57,7 +56,6 @@ from .properties import (
     is_k_connected,
     min_degree,
     structure_audit,
-    vertex_connectivity,
 )
 from .coupling import (
     CollectorReport,

@@ -172,12 +172,7 @@ def _cmd_check(args) -> int:
     if args.property == "mindeg":
         doc = {"property": "mindeg", "min_degree": min_degree(g)}
     elif args.property == "kconn":
-        doc = {
-            "property": "kconn",
-            "k": args.k,
-            "mode": args.mode,
-            "verdict": is_k_connected(g, args.k, mode=args.mode),
-        }
+        doc = {"property": "kconn", "k": args.k, "verdict": is_k_connected(g, args.k)}
     elif args.property == "pm":
         doc = {"property": "pm", "verdict": has_perfect_matching(g)}
     elif args.property == "hc":
@@ -215,9 +210,19 @@ def _jsonable(value):
     return value
 
 
-def _cmd_couple(args) -> int:
+def _trial_run(args) -> tuple[FeatureProbabilities, float]:
+    """Profile and omega of a couple or collector run, checked before any output."""
     probs = _load_probabilities(args)
+    if args.trials < 0:
+        raise ValidationError(f"--trials must be nonnegative, got {args.trials}")
     omega = args.omega if args.omega is not None else default_omega(args.n)
+    if not omega > 0:  # also rejects nan
+        raise ValidationError(f"--omega must be positive, got {omega}")
+    return probs, omega
+
+
+def _cmd_couple(args) -> int:
+    probs, omega = _trial_run(args)
     seed = Seed(args.seed)
     all_guards = 0
     contained = 0
@@ -240,8 +245,7 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_collector(args) -> int:
-    probs = _load_probabilities(args)
-    omega = args.omega if args.omega is not None else default_omega(args.n)
+    probs, omega = _trial_run(args)
     seed = Seed(args.seed)
     delta_ok = 0
     for t in range(args.trials):
@@ -319,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
     check.add_argument("--input", required=True)
     check.add_argument("--k", type=int, default=1)
-    check.add_argument("--mode", choices=["vertex", "edge"], default="vertex")
     check.add_argument("--budget", type=int, default=200_000)
     check.add_argument("--gamma", type=float, default=0.6)
     check.add_argument("--degree-cutoff", type=int, default=5)

@@ -1,13 +1,12 @@
 """Exact and budgeted decision procedures for graph properties.
 
 * minimum degree, from the CSR row lengths of the graph
-* k-connectivity (vertex or edge).  Vertex mode: one breadth-first search
-  from vertex 0 (``scipy.sparse.csgraph``) for k = 1, low points over
-  scipy's depth-first tree for k = 2, and for k >= 3 the exact vertex
-  connectivity of a scan-first sparse certificate of at most k(n-1) edges:
-  Dinic max-flow (scipy) on its vertex-split network over the
-  Esfahanian-Hakimi pair family.  Edge mode and the exact connectivity
-  values use the same max-flow on the whole graph.
+* k-connectivity, as the yes/no question kappa >= k: one breadth-first
+  search from vertex 0 (``scipy.sparse.csgraph``) for k = 1, low points over
+  scipy's depth-first tree for k = 2, and for k >= 3 a scan-first sparse
+  certificate of at most k(n-1) edges, whose Esfahanian-Hakimi pairs share
+  one Dinic max-flow (scipy) per block-diagonal network of vertex-split
+  copies
 * perfect matching: a cycle cover from Hopcroft-Karp on the bipartite
   double cover (scipy), then Edmonds' blossom search over CSR rows from the
   exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
@@ -53,38 +52,28 @@ def is_connected(g: SimpleGraph) -> bool:
 # --- connectivity by max-flow ------------------------------------------------
 
 
-def _unit_network(size: int, tails, heads) -> csr_array:
-    """Flow network on `size` nodes with a unit-capacity arc tails[i] -> heads[i]."""
-    caps = np.ones(len(tails), dtype=np.int32)
-    return csr_array((caps, (tails, heads)), shape=(size, size))
+_FLOW_ARC_CAP = 1 << 14  # arcs past which the pair copies go to a new flow network
 
 
-def _split_network(g: SimpleGraph) -> csr_array:
-    """Vertex-split digraph: v becomes 2v -> 2v+1 (its unit budget), and each
-    edge {u, v} becomes the arcs 2u+1 -> 2v and 2v+1 -> 2u."""
-    tails, heads = g.arcs()
-    budget = 2 * np.arange(g.n)
-    return _unit_network(2 * g.n, np.concatenate((budget, 2 * tails + 1)),
-                         np.concatenate((budget + 1, 2 * heads)))
-
-
-def _max_flow(net: csr_array, s: int, t: int) -> int:
-    return int(maximum_flow(net, s, t).flow_value)
-
-
-def _vertex_cut_family(g: SimpleGraph):
-    """Pairs covering some minimum cut: a min-degree vertex against its
-    non-neighbors, plus non-adjacent pairs among its neighbors."""
-    adj = g.adjacency()
+def _cut_pairs(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The Esfahanian-Hakimi pairs (s, t), which cover some minimum vertex cut
+    of a non-complete graph: a min-degree vertex v0 against its non-neighbors,
+    plus the non-adjacent pairs among its neighbors."""
     v0 = int(g.degrees().argmin())
-    for u in range(g.n):
-        if u != v0 and u not in adj[v0]:
-            yield v0, u
-    nbrs = sorted(adj[v0])
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if b not in adj[a]:
-                yield a, b
+    nbrs = g.indices[g.indptr[v0]:g.indptr[v0 + 1]]
+    apart = np.ones(g.n, dtype=bool)
+    apart[nbrs] = False
+    apart[v0] = False
+    far = np.flatnonzero(apart)
+    a, b = np.triu_indices(len(nbrs), 1)
+    a, b = nbrs[a], nbrs[b]
+    tails, heads = g.arcs()
+    arc_keys = tails * g.n + heads  # sorted: rows in order, each row sorted
+    keys = a * g.n + b
+    at = np.minimum(np.searchsorted(arc_keys, keys), len(arc_keys) - 1)
+    gap = arc_keys[at] != keys
+    return (np.concatenate((np.full(len(far), v0), a[gap])),
+            np.concatenate((far, b[gap])))
 
 
 def _scan_first_certificate(g: SimpleGraph, k: int) -> SimpleGraph:
@@ -116,50 +105,48 @@ def _scan_first_certificate(g: SimpleGraph, k: int) -> SimpleGraph:
     return SimpleGraph(g.n, cert)
 
 
-def is_k_connected(g: SimpleGraph, k: int, mode: str = "vertex") -> bool:
+def is_k_connected(g: SimpleGraph, k: int) -> bool:
+    """Decide whether g is k-vertex-connected (kappa(g) >= k, so n > k).
+
+    k = 1 and k = 2 are `is_connected` and `is_biconnected`.  For k >= 3 with
+    min degree >= k, each pair (s, t) of the scan-first certificate's cut-pair
+    family gets a copy of the certificate's vertex-split network, with an arc
+    of capacity k from a super-source to 2s+1 and from 2t to a super-sink.
+    The copies share one max-flow call per block-diagonal network of about
+    `_FLOW_ARC_CAP` arcs, and g is k-connected iff each flow is k per copy.
+    """
     if k < 1:
         raise ValidationError(f"k must be positive, got {k}")
-    if mode == "vertex":
-        if g.n <= k:
+    if g.n <= k:
+        return False
+    if k == 1:
+        return is_connected(g)
+    if k == 2:
+        return is_biconnected(g)
+    if min_degree(g) < k:
+        return False
+    cert = _scan_first_certificate(g, k)
+    sources, sinks = _cut_pairs(cert)
+    # vertex split: v becomes 2v -> 2v+1 (its unit budget), edge {u, v} 2u+1 -> 2v and 2v+1 -> 2u
+    arc_tails, arc_heads = cert.arcs()
+    budget = 2 * np.arange(g.n)
+    tails = np.concatenate((budget, 2 * arc_tails + 1))
+    heads = np.concatenate((budget + 1, 2 * arc_heads))
+    per_net = max(1, _FLOW_ARC_CAP // (len(tails) + 2))
+    for first in range(0, len(sources), per_net):
+        s, t = sources[first:first + per_net], sinks[first:first + per_net]
+        offset = 2 * g.n * np.arange(len(s))
+        source, sink = 2 * g.n * len(s), 2 * g.n * len(s) + 1
+        net_tails = np.concatenate(((tails + offset[:, None]).ravel(),
+                                    np.full(len(s), source), offset + 2 * t))
+        net_heads = np.concatenate(((heads + offset[:, None]).ravel(),
+                                    offset + 2 * s + 1, np.full(len(s), sink)))
+        caps = np.ones(len(net_tails), dtype=np.int32)
+        caps[-2 * len(s):] = k
+        net = csr_array((caps, (net_tails, net_heads)), shape=(sink + 1, sink + 1))
+        if maximum_flow(net, source, sink).flow_value < k * len(s):
             return False
-        if k == 1:
-            return is_connected(g)
-        if k == 2:
-            return is_biconnected(g)
-        if min_degree(g) < k:
-            return False
-        return vertex_connectivity(_scan_first_certificate(g, k)) >= k
-    if mode == "edge":
-        return g.n >= 2 and edge_connectivity(g) >= k
-    raise ValidationError(f"unknown mode {mode!r}")
-
-
-def vertex_connectivity(g: SimpleGraph) -> int:
-    """Exact vertex connectivity (n-1 for complete graphs)."""
-    if g.n < 2:
-        return 0
-    net = _split_network(g)
-    best = g.n - 1
-    for s, t in _vertex_cut_family(g):
-        best = min(best, _max_flow(net, 2 * s + 1, 2 * t))
-        if best == 0:
-            break
-    return best
-
-
-def edge_connectivity(g: SimpleGraph) -> int:
-    if g.n < 2:
-        return 0
-    deg = g.degrees()
-    v0 = int(deg.argmin())
-    net = _unit_network(g.n, *g.arcs())  # a unit arc each way per edge
-    best = int(deg[v0])
-    for u in range(g.n):
-        if u != v0:
-            best = min(best, _max_flow(net, v0, u))
-            if best == 0:
-                break
-    return best
+    return True
 
 
 # --- perfect matching ---------------------------------------------------------

@@ -178,44 +178,19 @@ def oracle_flow_k_connected(n, edges, k):
         return connected_on(range(n), adj)
     if min(len(a) for a in adj) < k:
         return False
+    return all(_local_vertex_connectivity(adj, n, s, t, k) >= k
+               for s, t in oracle_cut_pairs(n, edges))
+
+
+def oracle_cut_pairs(n, edges):
+    """The Esfahanian-Hakimi pair family from neighbor sets, in order: the
+    first min-degree vertex v0 against each non-neighbor, then the
+    non-adjacent pairs among its neighbors."""
+    adj = _adj_sets(n, edges)
     v0 = min(range(n), key=lambda v: len(adj[v]))
     pairs = [(v0, u) for u in range(n) if u != v0 and u not in adj[v0]]
     nbrs = sorted(adj[v0])
-    pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if b not in adj[a]]
-    return all(_local_vertex_connectivity(adj, n, s, t, k) >= k for s, t in pairs)
-
-
-def oracle_vertex_connectivity(n, edges):
-    if n < 2:
-        return 0
-    adj = _adj_sets(n, edges)
-    for size in range(n - 1):
-        for cut in itertools.combinations(range(n), size):
-            rest = set(range(n)) - set(cut)
-            if len(rest) >= 2 and not connected_on(rest, adj):
-                return size
-    return n - 1
-
-
-def oracle_edge_connectivity(n, edges):
-    """Minimum crossing-edge count over all proper bipartitions."""
-    if n < 2:
-        return 0
-    edges = list(edges)
-    best = len(edges)
-    for bits in range(2 ** (n - 1)):
-        side = {0} | {v for v in range(1, n) if (bits >> (v - 1)) & 1}
-        if len(side) == n:
-            continue
-        crossing = sum(1 for u, v in edges if (u in side) != (v in side))
-        best = min(best, crossing)
-    return best
-
-
-def oracle_edge_k_connected(n, edges, k):
-    if n < 2:
-        return False
-    return oracle_edge_connectivity(n, edges) >= k
+    return pairs + [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if b not in adj[a]]
 
 
 def oracle_has_perfect_matching(n, edges):

@@ -359,6 +359,11 @@ def test_cli_couple_and_collector(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
+    for command in ("couple", "collector"):
+        for bad in (["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"]):
+            assert cli.main([command, "--n", "50", "--m", "50", "--p", "0.05", *bad]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("base, clipped", [

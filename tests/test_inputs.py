@@ -117,13 +117,13 @@ def _run_cli(argv):
 
 
 @given(_edge_list_docs(), st.sampled_from(["mindeg", "kconn", "pm", "hc", "audit"]),
-       st.sampled_from(["1", "2", "3"]), st.sampled_from(["vertex", "edge"]))
+       st.sampled_from(["1", "2", "3"]))
 @settings(max_examples=150, deadline=None)
-def test_cli_check_exits_0_or_2_on_any_edge_list(text, prop, k, mode):
+def test_cli_check_exits_0_or_2_on_any_edge_list(text, prop, k):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.txt"
         path.write_text(text, encoding="utf-8")
-        _run_cli(["check", "--property", prop, "--input", str(path), "--k", k, "--mode", mode,
+        _run_cli(["check", "--property", prop, "--input", str(path), "--k", k,
                   "--budget", "2000", "--samples", "5"])
 
 

@@ -10,30 +10,26 @@ from rig_lab import (
     Seed,
     SimpleGraph,
     ValidationError,
-    edge_connectivity,
     hamiltonicity,
     has_perfect_matching,
     is_connected,
     is_k_connected,
     min_degree,
     structure_audit,
-    vertex_connectivity,
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
-from rig_lab.properties import (_augment_from, _perfect_matching, _scan_first_certificate,
-                                is_biconnected)
+from rig_lab.properties import (_FLOW_ARC_CAP, _augment_from, _cut_pairs, _perfect_matching,
+                                _scan_first_certificate, is_biconnected)
 from rig_lab.sampling import sample_rig
 from conftest import random_graph
 from oracles import (
-    oracle_edge_connectivity,
-    oracle_edge_k_connected,
+    oracle_cut_pairs,
     oracle_flow_k_connected,
     oracle_hamiltonian,
     oracle_has_perfect_matching,
     oracle_is_connected,
     oracle_maximum_matching,
-    oracle_vertex_connectivity,
     oracle_vertex_k_connected,
 )
 
@@ -61,12 +57,8 @@ def test_k_connectivity_examples(petersen):
     assert not is_k_connected(path(3), 2)
     assert is_k_connected(petersen, 3)
     assert not is_k_connected(petersen, 4)
-    assert vertex_connectivity(petersen) == 3
-    assert edge_connectivity(petersen) == 3
     with pytest.raises(ValidationError):
         is_k_connected(complete(3), 0)
-    with pytest.raises(ValidationError):
-        is_k_connected(complete(3), 1, mode="diagonal")
 
 
 def test_k_connectivity_against_bfs_reachability():
@@ -118,17 +110,6 @@ def test_checkers_match_oracles_small_graphs():
             verdict = hamiltonicity(g, seed=Seed(0).child("t", n))
             assert verdict.verdict in ("yes", "no")
             assert (verdict.verdict == "yes") == oracle_hamiltonian(n, g.edges), (n, g.edges)
-
-
-def test_connectivity_values_match_oracles():
-    rng = np.random.default_rng(17)
-    for _ in range(120):
-        n = int(rng.integers(2, 8))
-        g = random_graph(rng, n, float(rng.uniform(0.2, 0.95)))
-        assert vertex_connectivity(g) == oracle_vertex_connectivity(n, g.edges)
-        assert edge_connectivity(g) == oracle_edge_connectivity(n, g.edges)
-        for k in (1, 2, 3):
-            assert is_k_connected(g, k, mode="edge") == oracle_edge_k_connected(n, g.edges, k)
 
 
 def cycles(*vertex_lists, n):
@@ -187,10 +168,46 @@ def adversarial_graphs(k):
         ("K_{k+1}", complete(k + 1), k, True),
         ("K_k", complete(k), k, False),
     ]
-    for n in (2 * k + 5, 2 * k + 6, 40):
+    for n in (2 * k + 5, 2 * k + 6, 40, 200):
         cases.append((f"H_(k,{n})", harary(k, n), k, True))
         cases.append((f"H_(k,{n}) at k+1", harary(k, n), k + 1, False))
+    cases.append(("K_{k+2} hung on H_(k,200) by k-1 vertices", hung_clique(k, 200), k, False))
     return cases
+
+
+def hung_clique(k, n):
+    """H_{k,n} plus a K_{k+2} on the vertices n.. whose every vertex is joined
+    to the same k-1 vertices of H_{k,n}: min degree k, and a (k-1)-vertex cut
+    splits off the highest-numbered vertices."""
+    clique = range(n, n + k + 2)
+    joins = [i * n // (k - 1) for i in range(k - 1)]
+    return SimpleGraph.from_edges(n + k + 2, list(harary(k, n).edges)
+                                  + [(u, v) for u in clique for v in clique if u < v]
+                                  + [(x, v) for x in joins for v in clique])
+
+
+def test_cut_pairs_match_set_oracle():
+    rng = np.random.default_rng(31)
+    graphs = [SimpleGraph(2), complete(5), harary(3, 12), shared_cliques(5, 2)]
+    graphs += [random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.95)))
+               for _ in range(300)]
+    for g in graphs:
+        sources, sinks = _cut_pairs(g)
+        assert list(zip(sources.tolist(), sinks.tolist())) == oracle_cut_pairs(g.n, g.edges)
+
+
+def test_cut_pairs_span_several_flow_networks():
+    """At n = 200 the k = 3 pair family fills several capped flow networks, and
+    the pairs that the hung clique's 2-vertex cut separates all lie in the last."""
+    for g in (harary(3, 200), hung_clique(3, 200)):
+        assert min_degree(g) == 3
+        cert = _scan_first_certificate(g, 3)
+        sources, sinks = _cut_pairs(cert)
+        per_net = _FLOW_ARC_CAP // (g.n + len(cert.indices) + 2)  # arcs per copy
+        assert len(sources) > 5 * per_net
+    last = (len(sources) - 1) // per_net * per_net
+    split = np.flatnonzero(np.maximum(sources, sinks) >= 200)  # pairs into the clique
+    assert len(split) and split.min() >= last
 
 
 def rig_graphs(k):
@@ -227,16 +244,6 @@ def test_scan_first_certificate_preserves_k_connectivity(k):
         assert cert.edge_count() <= k * (g.n - 1)
         assert (oracle_flow_k_connected(g.n, cert.edges, k)
                 == oracle_flow_k_connected(g.n, g.edges, k))
-
-
-def test_whitney_inequality():
-    rng = np.random.default_rng(23)
-    for _ in range(150):
-        n = int(rng.integers(2, 10))
-        g = random_graph(rng, n, float(rng.uniform(0.2, 0.9)))
-        kappa = vertex_connectivity(g)
-        lam = edge_connectivity(g)
-        assert kappa <= lam <= (min_degree(g) if g.n > 1 else 0)
 
 
 def test_monotone_under_edge_addition():
