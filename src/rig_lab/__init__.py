@@ -46,8 +46,6 @@ from .thresholds import (
     summary_stats,
 )
 from .properties import (
-    AuditParams,
-    AuditReport,
     HamiltonicityVerdict,
     hamiltonicity,
     has_perfect_matching,
@@ -55,7 +53,6 @@ from .properties import (
     is_connected,
     is_k_connected,
     min_degree,
-    structure_audit,
 )
 from .coupling import (
     CollectorReport,
@@ -64,7 +61,6 @@ from .coupling import (
     PoissonizationReport,
     coupon_collector_trial,
     couple_feature,
-    decompose_features,
     decompose_sizes,
     poissonization_test,
     run_coupling_trial,

@@ -7,9 +7,11 @@ Subcommands:
 * ``rig-lab check``     decide a property of an edge-list file
 * ``rig-lab couple``    run coupling-chain trials, JSON lines plus a summary
 * ``rig-lab collector`` run coupon-collector trials, JSON lines plus a summary
+* ``rig-lab poisson-check`` paired test of the Poissonization identity
 * ``rig-lab sweep``     run a configured Monte Carlo sweep into a directory
 
-Exit codes: 0 success, 2 planning/validation error, 3 I/O error.
+Exit codes: 0 success, 1 sweep aborted (partial outputs flushed),
+2 planning/validation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .experiments import ExperimentConfig, SweepAborted, emit_outputs, run_sweep
 from .coupling import coupon_collector_trial, poissonization_test, run_coupling_trial
 from .graphs import graph_from_text, graph_to_text, hypergraph_to_text, project_hypergraph, project_rig
 from .properties import (
-    AuditParams,
+    DEFAULT_HC_BUDGET,
     hamiltonicity,
     is_k_connected,
     min_degree,
     has_perfect_matching,
-    structure_audit,
 )
 from .sampling import (
     FeatureProbabilities,
@@ -39,7 +40,7 @@ from .sampling import (
     sample_h_independent,
     sample_rig,
 )
-from .thresholds import coupling_parameters, default_omega, summary_stats
+from .thresholds import check_omega, coupling_parameters, default_omega, summary_stats
 
 EXIT_OK = 0
 EXIT_PLANNING = 2
@@ -175,25 +176,13 @@ def _cmd_check(args) -> int:
         doc = {"property": "kconn", "k": args.k, "verdict": is_k_connected(g, args.k)}
     elif args.property == "pm":
         doc = {"property": "pm", "verdict": has_perfect_matching(g)}
-    elif args.property == "hc":
+    else:  # hc
         verdict = hamiltonicity(g, budget=args.budget, seed=Seed(args.seed).child("check", "hc"))
         doc = {
             "property": "hc",
             "verdict": verdict.verdict,
             "certificate": list(verdict.certificate) if verdict.certificate else None,
             "effort": verdict.effort,
-        }
-    else:  # audit
-        params = AuditParams(gamma=args.gamma, k=args.k, degree_cutoff=args.degree_cutoff,
-                             sample_count=args.samples)
-        report = structure_audit(g, params, Seed(args.seed).child("check", "audit"))
-        doc = {
-            "property": "audit",
-            "expansion_double": dataclasses.asdict(report.expansion_double),
-            "expansion_vs_cap": dataclasses.asdict(report.expansion_vs_cap),
-            "high_degree_expansion": dataclasses.asdict(report.high_degree_expansion),
-            "low_degree_pairs": report.low_degree_pairs,
-            "low_degree_close_pairs": report.low_degree_close_pairs,
         }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -216,8 +205,7 @@ def _trial_run(args) -> tuple[FeatureProbabilities, float]:
     if args.trials < 0:
         raise ValidationError(f"--trials must be nonnegative, got {args.trials}")
     omega = args.omega if args.omega is not None else default_omega(args.n)
-    if not omega > 0:  # also rejects nan
-        raise ValidationError(f"--omega must be positive, got {omega}")
+    check_omega(omega)
     return probs, omega
 
 
@@ -319,14 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     stats.set_defaults(func=_cmd_stats)
 
     check = sub.add_parser("check", help="decide a property of an edge-list file")
-    check.add_argument("--property", choices=["mindeg", "kconn", "pm", "hc", "audit"],
-                       required=True)
+    check.add_argument("--property", choices=["mindeg", "kconn", "pm", "hc"], required=True)
     check.add_argument("--input", required=True)
     check.add_argument("--k", type=int, default=1)
-    check.add_argument("--budget", type=int, default=200_000)
-    check.add_argument("--gamma", type=float, default=0.6)
-    check.add_argument("--degree-cutoff", type=int, default=5)
-    check.add_argument("--samples", type=int, default=50)
+    check.add_argument("--budget", type=int, default=DEFAULT_HC_BUDGET)
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=_cmd_check)
 

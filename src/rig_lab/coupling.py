@@ -43,7 +43,7 @@ from .sampling import (
     sample_g_star_poisson,
     sample_h_independent,
 )
-from .thresholds import summary_stats
+from .thresholds import check_omega, summary_stats
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,6 @@ class FeatureDecomposition:
     odd_flags: tuple[int, ...]
     pair_draws: int
     triple_draws: int
-
-
-def decompose_features(r: RigInstance) -> FeatureDecomposition:
-    return decompose_sizes(np.diff(r.indptr))
 
 
 def decompose_sizes(sizes) -> FeatureDecomposition:
@@ -175,8 +171,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
 
     Negative Poisson means clamp to 0 and mark the matching guard False.
     """
-    if omega <= 0:
-        raise ValidationError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     st = summary_stats(n, p, t_max=2)
     if st.S1 <= 0:
         raise ValidationError("degenerate model: S1 = 0")
@@ -272,8 +267,7 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     The coupon stream continues past the construction so that coverage
     times beyond T are still observed.
     """
-    if omega <= 0:
-        raise ValidationError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     st = summary_stats(n, p, t_max=2)
     if st.S1 <= 0:
         raise ValidationError("degenerate model: S1 = 0")

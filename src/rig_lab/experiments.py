@@ -39,6 +39,7 @@ from .properties import (
 from .sampling import FeatureProbabilities, Seed, _encode_label, sample_rig
 from .thresholds import (
     _scale_explicit,
+    check_omega,
     default_omega,
     homogeneous_p_for_target,
     limit_probability,
@@ -127,8 +128,7 @@ class ExperimentConfig:
         if not isinstance(self.profile, dict):
             raise ValidationError(f"profile must be an object, got {self.profile!r}")
         if self.omega is not None:
-            if not _is_number(self.omega) or not self.omega > 0:
-                raise ValidationError(f"omega must be a positive number, got {self.omega!r}")
+            check_omega(self.omega)
             object.__setattr__(self, "omega", float(self.omega))
         try:
             _encode_label(self.experiment_id)

@@ -3,11 +3,10 @@
 Vertices and features are dense 0-based integers.  A SimpleGraph is stored
 once, as a symmetric CSR adjacency (``indptr``, ``indices``) with sorted,
 duplicate-free rows, so equality is array equality and the upper triangle,
-read row by row, is the lexicographic edge order of the text format.  The
-``edges`` frozenset of (u, v) pairs with u < v is a view derived from the
-arrays.  A RigInstance is stored the same way, as feature offsets
-(``indptr``) into one array of sorted member rows, and projected by sorting
-the keys ``u * n + v`` of all clique pairs, one feature size at a time.  The
+read row by row, is the lexicographic edge order of the text format.  A
+RigInstance is stored the same way, as feature offsets (``indptr``) into
+one array of sorted member rows, and projected by sorting the keys
+``u * n + v`` of all clique pairs, one feature size at a time.  The
 constructors and the projection build rows with ``_sorted_rows``: sort
 integer keys ``row * width + column``, mask repeats, and cut the rows by
 ``searchsorted``.  All types are frozen; operations return new values.
@@ -95,11 +94,6 @@ class SimpleGraph(_ArrayValue):
         self._set_fields(n=n, indptr=indptr, indices=indices)
 
     @classmethod
-    def from_edges(cls, n: int, pairs) -> "SimpleGraph":
-        """Build from an iterable of (u, v) pairs in any order."""
-        return cls(n, pairs)
-
-    @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray) -> "SimpleGraph":
         """Graph of arc keys ``u * n + v``: both orientations, no loops, any order."""
         g = cls.__new__(cls)
@@ -113,9 +107,6 @@ class SimpleGraph(_ArrayValue):
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.indices[self.indptr[u]:self.indptr[u + 1]] == v).any())
-
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """(tails, heads): every edge once in each direction, in row-major order."""
         return np.repeat(np.arange(self.n), self.degrees()), self.indices
@@ -126,18 +117,10 @@ class SimpleGraph(_ArrayValue):
         upper = tails < heads
         return list(zip(tails[upper].tolist(), heads[upper].tolist()))
 
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.edge_list())
-
     def neighbor_lists(self) -> list[list[int]]:
         """Sorted neighbor lists, sliced from the CSR rows on each call."""
         ptr, flat = self.indptr.tolist(), self.indices.tolist()
         return [flat[ptr[v]:ptr[v + 1]] for v in range(self.n)]
-
-    def adjacency(self) -> list[set[int]]:
-        """Neighbor sets for O(1) membership tests, built from the CSR rows on each call."""
-        return [set(row) for row in self.neighbor_lists()]
 
     def matrix(self) -> csr_array:
         """The adjacency as a scipy sparse array with unit entries."""
@@ -215,11 +198,6 @@ class RigInstance(_ArrayValue):
         ptr, flat = self.indptr.tolist(), self.members.tolist()
         return tuple(frozenset(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
 
-    def features_of(self, v: int) -> frozenset[int]:
-        """Inverse view: the features held by vertex v."""
-        owners = np.repeat(np.arange(self.m), np.diff(self.indptr))
-        return frozenset(owners[self.members == v].tolist())
-
 
 _KEY_CAP = 1 << 19  # pending clique-pair keys past which projection folds them
 
@@ -293,7 +271,10 @@ def graph_from_text(text: str) -> SimpleGraph:
         if not u < v:
             raise ValidationError(f"edge line must satisfy u < v: {ln!r}")
         pairs.append((u, v))
-    return SimpleGraph.from_edges(n, pairs)
+    g = SimpleGraph(n, pairs)
+    if g.edge_count() != m_edges:
+        raise ValidationError(f"header promises {m_edges} edges, found {g.edge_count()} distinct")
+    return g
 
 
 def hypergraph_to_text(h: UniformHypergraph) -> str:
@@ -310,4 +291,8 @@ def hypergraph_from_text(text: str) -> UniformHypergraph:
     if len(rows) - 1 != count:
         raise ValidationError(f"header promises {count} hyperedges, found {len(rows) - 1}")
     hes = [tuple(_int_row(ln, arity, "hyperedge line")) for ln in rows[1:]]
-    return UniformHypergraph(n, arity, frozenset(hes))
+    h = UniformHypergraph(n, arity, frozenset(hes))
+    if len(h.hyperedges) != count:
+        raise ValidationError(f"header promises {count} hyperedges, "
+                              f"found {len(h.hyperedges)} distinct")
+    return h

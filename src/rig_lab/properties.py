@@ -15,13 +15,10 @@
   a rotation-extension heuristic (Yes answers only), and an exact phase
   (bitmask dynamic program for small n, pruned backtracking under a budget
   otherwise).  "No" is only ever produced by an exact argument.
-* a sampled audit of neighborhood-expansion and low-degree-spacing
-  properties used by the sandwich constructions
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,7 +29,7 @@ from scipy.sparse.csgraph import (breadth_first_order, depth_first_order, dijkst
 
 from .errors import ValidationError
 from .graphs import Edge, SimpleGraph
-from .sampling import Seed, _as_rng, sample_subset
+from .sampling import Seed, _as_rng
 
 DEFAULT_HC_BUDGET = 200_000
 
@@ -81,7 +78,7 @@ def _scan_first_certificate(g: SimpleGraph, k: int) -> SimpleGraph:
     forests 1..i-1 left unused.  It has at most k(n-1) edges and is
     k-vertex-connected iff the input is (Cheriyan-Kao-Thurimella, SIAM J.
     Comput. 22, 1993)."""
-    rest = g.adjacency()
+    rest = [set(row) for row in g.neighbor_lists()]
     cert: list[Edge] = []
     for _ in range(k):
         seen = [False] * g.n
@@ -600,129 +597,3 @@ def hamiltonicity(g: SimpleGraph, budget: int = DEFAULT_HC_BUDGET,
         return HamiltonicityVerdict("no", None, effort)
     return HamiltonicityVerdict("unknown", None, effort)
 
-
-# --- structural audit ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AuditParams:
-    """Knobs for the expansion/spacing audit.
-
-    gamma bounds the sampled set sizes (n^gamma splits "small" from "large"
-    sets), k scales the required expansion of high-degree sets, and
-    degree_cutoff is the "low degree" threshold for the spacing check.
-    """
-
-    gamma: float
-    k: int
-    degree_cutoff: int
-    sample_count: int
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.k < 1 or self.degree_cutoff < 1 or self.sample_count < 1:
-            raise ValidationError("k, degree_cutoff and sample_count must be positive")
-
-
-@dataclass(frozen=True)
-class AuditCheck:
-    sampled: int
-    violations: int
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    expansion_double: AuditCheck
-    expansion_vs_cap: AuditCheck
-    high_degree_expansion: AuditCheck
-    low_degree_pairs: int
-    low_degree_close_pairs: int
-    params: AuditParams
-
-
-def _close_low_degree_pairs(g: SimpleGraph, low: list[int]) -> int:
-    """Exact count of pairs of distinct vertices in `low` at graph distance <= 5."""
-    if len(low) < 2:
-        return 0
-    # directed=True: the store is symmetric, and directed=False builds a transpose
-    dist = dijkstra(g.matrix(), directed=True, indices=low, unweighted=True, limit=5)
-    return int(np.triu(np.isfinite(dist[:, low]), 1).sum())
-
-
-def _neighborhood_size(adj: list[set[int]], members: set[int]) -> int:
-    out: set[int] = set()
-    for v in members:
-        out.update(adj[v])
-    return len(out - members)
-
-
-def _geometric_sizes(lo: int, hi: int) -> list[int]:
-    if lo > hi:
-        return []
-    sizes = []
-    s = lo
-    while s < hi:
-        sizes.append(s)
-        s = max(s + 1, int(round(s * 2)))
-    sizes.append(hi)
-    return sorted(set(sizes))
-
-
-def structure_audit(g: SimpleGraph, params: AuditParams, seed=None) -> AuditReport:
-    """Sampled check of expansion properties plus an exact low-degree spacing check.
-
-    Expansion checks sample `sample_count` uniform sets per geometric size
-    class, so zero violations is evidence, not proof.  The spacing check
-    (all pairs of degree <= degree_cutoff vertices at graph distance >= 6)
-    is exact.  Note the cap 4n*ln(ln n)/ln n in the second check exceeds n
-    at small n, where that check can report violations for every large set.
-    """
-    n = g.n
-    if n < 3:
-        raise ValidationError(f"audit needs at least 3 vertices, got n={n}")
-    rng = _as_rng(Seed(0, ("audit-default",)) if seed is None else seed)
-    adj = g.adjacency()
-    deg = g.degrees().tolist()
-    n_gamma = max(1, int(math.floor(n ** params.gamma)))
-
-    def run_check(lo: int, hi: int, ok) -> AuditCheck:
-        sampled = 0
-        violations = 0
-        for size in _geometric_sizes(lo, hi):
-            for _ in range(params.sample_count):
-                members = set(sample_subset(n, size, rng))
-                sampled += 1
-                if not ok(members, _neighborhood_size(adj, members)):
-                    violations += 1
-        return AuditCheck(sampled, violations)
-
-    double = run_check(n_gamma, n // 4, lambda s, nb: nb > 2 * len(s))
-    cap = 4.0 * n * math.log(math.log(n)) / math.log(n) if n >= 3 else float(n)
-    vs_cap = run_check(n_gamma, (2 * n) // 3, lambda s, nb: nb > min(len(s), cap))
-
-    heavy = [v for v in range(n) if deg[v] >= 4 * params.k + 15]
-    sampled = 0
-    violations = 0
-    for size in _geometric_sizes(1, n_gamma):
-        if size > len(heavy):
-            break
-        for _ in range(params.sample_count):
-            idx = sample_subset(len(heavy), size, rng)
-            members = {heavy[i] for i in idx}
-            sampled += 1
-            if _neighborhood_size(adj, members) < 2 * params.k * len(members):
-                violations += 1
-    high = AuditCheck(sampled, violations)
-
-    low = [v for v in range(n) if deg[v] <= params.degree_cutoff]
-    pairs = len(low) * (len(low) - 1) // 2
-    close = _close_low_degree_pairs(g, low)
-    return AuditReport(
-        expansion_double=double,
-        expansion_vs_cap=vs_cap,
-        high_degree_expansion=high,
-        low_degree_pairs=pairs,
-        low_degree_close_pairs=close,
-        params=params,
-    )

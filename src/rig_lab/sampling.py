@@ -149,13 +149,6 @@ def _floyd(u: np.ndarray, n: int, k: int) -> list[int]:
     return sorted(chosen)
 
 
-def sample_subset(n: int, k: int, rng: np.random.Generator) -> list[int]:
-    """Uniform k-subset of range(n) in O(k) space and draws (Floyd's algorithm)."""
-    if k >= n:
-        return list(range(n))
-    return _floyd(rng.random(k), n, k)
-
-
 def _floyd_rows(counts: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray]:
     """Row f is a uniform ``counts[f]``-subset of ``range(sizes[f])``, as CSR

@@ -17,6 +17,7 @@ c-axis parameterization of the sweep experiments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,12 @@ from .errors import OutOfRangeError, ValidationError
 from .sampling import FeatureProbabilities
 
 DEFAULT_T_MAX = 12
+
+
+def check_omega(omega) -> None:
+    """Raise ValidationError unless omega, the coupling's slack, is a finite number > 0."""
+    if isinstance(omega, bool) or not isinstance(omega, numbers.Real) or not 0 < omega < math.inf:
+        raise ValidationError(f"omega must be a finite positive number, got {omega!r}")
 
 
 def default_omega(n: int) -> float:
@@ -150,8 +157,7 @@ def coupling_parameters(
     variant "exponential" maps the same shifted masses through 1 - exp(-x/..),
     the form that stays valid when S1 grows like n^2.
     """
-    if omega <= 0:
-        raise ValidationError(f"omega must be positive, got {omega}")
+    check_omega(omega)
     if variant not in ("linear", "exponential"):
         raise ValidationError(f"unknown variant {variant!r}")
     s1, s2, s3 = stats.S1, stats.S2, stats.S3

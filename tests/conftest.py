@@ -14,10 +14,10 @@ def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(i + 5, ((i + 2) % 5) + 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
-    return SimpleGraph.from_edges(10, outer + inner + spokes)
+    return SimpleGraph(10, outer + inner + spokes)
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> SimpleGraph:
     """Plain independent-edge test graph (only used to feed the checkers)."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph(n, edges)

@@ -395,14 +395,14 @@ def clique_edges(vertices):
 def union(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"cannot union graphs on {a.n} and {b.n} vertices")
-    return SimpleGraph(a.n, a.edges | b.edges)
+    return SimpleGraph(a.n, a.edge_list() + b.edge_list())
 
 
 def is_subgraph(a, b):
     """Containment under the identity vertex map (no isomorphism search)."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot compare graphs on {a.n} and {b.n} vertices")
-    return a.edges <= b.edges
+    return set(a.edge_list()) <= set(b.edge_list())
 
 
 def subset_rank(subset):

@@ -62,6 +62,9 @@ def test_config_validation():
         make_config(profile={"kind": "magic"})
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"theorem": "connectivity"})
+    for omega in (0.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            make_config(omega=omega)
     cfg = ExperimentConfig.from_dict(dict(
         theorem="connectivity", n=50, m=50, c_grid=[0.0], trials_per_point=1, master_seed=1))
     assert cfg.manifest()["omega"] > 0
@@ -237,6 +240,10 @@ def test_cli_stats_and_gen(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"n", "m", "S1", "S2", "S3", "S1t", "a_n", "p_hat", "p_hat2",
                         "p_hat3", "regime", "omega", "variant"}
+    for bad in ("inf", "nan"):
+        assert cli.main(["stats", "--n", "10", "--m", "5", "--p", "0.5", "--omega", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
     out = tmp_path / "g.txt"
     rc = cli.main(["gen", "--model", "rig", "--n", "15", "--m", "8", "--p", "0.2",
                    "--seed", "3", "--out", str(out)])
@@ -255,6 +262,19 @@ def test_cli_check_rejects_malformed_edge_list(tmp_path, capsys, edge_line):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, rejected", [(["--property", "audit"], "'audit'"),
+                                             (["--property", "pm", "--gamma", "0.6"], "--gamma")])
+def test_cli_check_rejects_removed_audit_flags(tmp_path, capsys, flags, rejected):
+    path = tmp_path / "g.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", *flags, "--input", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rig-lab ") and "error: " in err and rejected in err
+    assert "Traceback" not in err
 
 
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):
@@ -315,6 +335,7 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     ("c_grid", ["0.0"]), ("c_grid", [0.0, None]), ("profile", "homogeneous"),
     ("theorem", 5), ("omega", "x"), ("profile", {"kind": "explicit", "values": [0.01] * 39 + ["a"]}),
     ("experiment_id", 1.5), ("experiment_id", [1]), ("hc_budget", -1),
+    ("omega", math.inf), ("omega", math.nan),  # json writes Infinity and NaN, and reads them back
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
@@ -360,7 +381,8 @@ def test_cli_couple_and_collector(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     for command in ("couple", "collector"):
-        for bad in (["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"]):
+        for bad in (["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"],
+                    ["--omega", "inf"], ["--omega", "nan"]):
             assert cli.main([command, "--n", "50", "--m", "50", "--p", "0.05", *bad]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and "Traceback" not in err

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from rig_lab import (
-    AuditParams,
     Seed,
     SimpleGraph,
     ValidationError,
@@ -15,7 +14,6 @@ from rig_lab import (
     is_connected,
     is_k_connected,
     min_degree,
-    structure_audit,
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
@@ -35,15 +33,20 @@ from oracles import (
 
 
 def cycle(n):
-    return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n):
-    return SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path(n):
-    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def adjacent(g, u, v):
+    """Whether v is in u's CSR row."""
+    return v in g.indices[g.indptr[u]:g.indptr[u + 1]]
 
 
 def test_min_degree_examples():
@@ -68,8 +71,8 @@ def test_k_connectivity_against_bfs_reachability():
     for _ in range(500):
         n = int(rng.integers(2, 65))
         g = random_graph(rng, n, float(rng.uniform(0.02, 0.3)))
-        assert is_k_connected(g, 1) == oracle_is_connected(g.n, g.edges)
-        assert is_connected(g) == oracle_is_connected(g.n, g.edges)
+        assert is_k_connected(g, 1) == oracle_is_connected(g.n, set(g.edge_list()))
+        assert is_connected(g) == oracle_is_connected(g.n, set(g.edge_list()))
 
 
 def _undirected_components(g):
@@ -81,9 +84,9 @@ def test_is_connected_matches_undirected_components():
     path = [(v, v + 1) for v in range(1, 5)]
     cases = [
         SimpleGraph(0), SimpleGraph(1),
-        SimpleGraph.from_edges(6, path),  # vertex 0 isolated, the rest a path
-        SimpleGraph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two components
-        SimpleGraph.from_edges(6, star),
+        SimpleGraph(6, path),  # vertex 0 isolated, the rest a path
+        SimpleGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two components
+        SimpleGraph(6, star),
     ]
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -103,18 +106,19 @@ def test_checkers_match_oracles_small_graphs():
     for _ in range(500):
         n = int(rng.integers(2, 9))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+        edges = set(g.edge_list())
         for k in (1, 2, 3):
-            assert is_k_connected(g, k) == oracle_vertex_k_connected(n, g.edges, k), (n, g.edges, k)
-        assert has_perfect_matching(g) == oracle_has_perfect_matching(n, g.edges), (n, g.edges)
+            assert is_k_connected(g, k) == oracle_vertex_k_connected(n, edges, k), (n, edges, k)
+        assert has_perfect_matching(g) == oracle_has_perfect_matching(n, edges), (n, edges)
         if n >= 3:
             verdict = hamiltonicity(g, seed=Seed(0).child("t", n))
             assert verdict.verdict in ("yes", "no")
-            assert (verdict.verdict == "yes") == oracle_hamiltonian(n, g.edges), (n, g.edges)
+            assert (verdict.verdict == "yes") == oracle_hamiltonian(n, edges), (n, edges)
 
 
 def cycles(*vertex_lists, n):
     """The union of the cycles through each list of vertices, in order."""
-    return SimpleGraph.from_edges(n, [(c[i], c[(i + 1) % len(c)])
+    return SimpleGraph(n, [(c[i], c[(i + 1) % len(c)])
                                       for c in vertex_lists for i in range(len(c))])
 
 
@@ -123,18 +127,18 @@ def test_biconnected_agrees_with_flow_checker():
     for _ in range(300):
         n = int(rng.integers(3, 30))
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)))
-        expected = oracle_flow_k_connected(n, g.edges, 2)
-        assert is_biconnected(g) == expected, (n, sorted(g.edges))
-        assert is_k_connected(g, 2) == expected, (n, sorted(g.edges))
+        expected = oracle_flow_k_connected(n, set(g.edge_list()), 2)
+        assert is_biconnected(g) == expected, (n, g.edge_list())
+        assert is_k_connected(g, 2) == expected, (n, g.edge_list())
     # the depth-first search starts at vertex 0, so put cut vertices at the root and away from it
     for name, g, expected in [
         ("two cycles sharing vertex 0", cycles([0, 1, 2, 3], [0, 4, 5, 6], n=7), False),
         ("two cycles sharing vertex n-1", cycles([0, 1, 2, 6], [3, 4, 5, 6], n=7), False),
         ("two disjoint cycles", cycles([0, 1, 2], [3, 4, 5], n=6), False),
         ("a bare cycle", cycle(6), True),
-        ("K_{2,5}", SimpleGraph.from_edges(7, [(a, b) for a in (0, 1) for b in range(2, 7)]), True),
+        ("K_{2,5}", SimpleGraph(7, [(a, b) for a in (0, 1) for b in range(2, 7)]), True),
     ]:
-        assert oracle_flow_k_connected(g.n, g.edges, 2) == expected, name
+        assert oracle_flow_k_connected(g.n, set(g.edge_list()), 2) == expected, name
         assert is_biconnected(g) == expected, name
         assert is_k_connected(g, 2) == expected, name
 
@@ -144,7 +148,7 @@ def harary(k, n):
     edges = [(i, (i + j) % n) for i in range(n) for j in range(1, k // 2 + 1)]
     if k % 2:
         edges += [(i, (i + (n + 1) // 2) % n) for i in range((n + 1) // 2)]
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph(n, edges)
 
 
 def shared_cliques(size, shared):
@@ -152,14 +156,14 @@ def shared_cliques(size, shared):
     second = list(range(size - shared, 2 * size - shared))
     edges = [(u, v) for u in range(size) for v in range(u + 1, size)]
     edges += [(u, v) for i, u in enumerate(second) for v in second[i + 1:] if v >= size]
-    return SimpleGraph.from_edges(2 * size - shared, edges)
+    return SimpleGraph(2 * size - shared, edges)
 
 
 def adversarial_graphs(k):
     """(name, graph, k it is tested at, k-connected?) around the k boundary."""
-    pendant = SimpleGraph(k + 9, complete(k + 8).edges | {(v, k + 8) for v in range(k - 1)})
-    apart = SimpleGraph.from_edges(2 * k + 4, [(u + off, v + off) for off in (0, k + 2)
-                                               for u, v in complete(k + 2).edges])
+    pendant = SimpleGraph(k + 9, complete(k + 8).edge_list() + [(v, k + 8) for v in range(k - 1)])
+    apart = SimpleGraph(2 * k + 4, [(u + off, v + off) for off in (0, k + 2)
+                                    for u, v in complete(k + 2).edge_list()])
     cases = [
         ("K_{k+2} twice, sharing k-1", shared_cliques(k + 2, k - 1), k, False),
         ("K_{k+2} twice, sharing k", shared_cliques(k + 2, k), k, True),
@@ -181,7 +185,7 @@ def hung_clique(k, n):
     splits off the highest-numbered vertices."""
     clique = range(n, n + k + 2)
     joins = [i * n // (k - 1) for i in range(k - 1)]
-    return SimpleGraph.from_edges(n + k + 2, list(harary(k, n).edges)
+    return SimpleGraph(n + k + 2, harary(k, n).edge_list()
                                   + [(u, v) for u in clique for v in clique if u < v]
                                   + [(x, v) for x in joins for v in clique])
 
@@ -193,7 +197,8 @@ def test_cut_pairs_match_set_oracle():
                for _ in range(300)]
     for g in graphs:
         sources, sinks = _cut_pairs(g)
-        assert list(zip(sources.tolist(), sinks.tolist())) == oracle_cut_pairs(g.n, g.edges)
+        pairs = oracle_cut_pairs(g.n, set(g.edge_list()))
+        assert list(zip(sources.tolist(), sinks.tolist())) == pairs
 
 
 def test_cut_pairs_span_several_flow_networks():
@@ -229,9 +234,9 @@ def rig_graphs(k):
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_k_connected_matches_flow_oracle(k):
     for g in rig_graphs(k):
-        assert is_k_connected(g, k) == oracle_flow_k_connected(g.n, g.edges, k), (g.n, k)
+        assert is_k_connected(g, k) == oracle_flow_k_connected(g.n, set(g.edge_list()), k), (g.n, k)
     for name, g, kk, expected in adversarial_graphs(k):
-        assert oracle_flow_k_connected(g.n, g.edges, kk) == expected, name
+        assert oracle_flow_k_connected(g.n, set(g.edge_list()), kk) == expected, name
         assert is_k_connected(g, kk) == expected, name
 
 
@@ -240,10 +245,10 @@ def test_scan_first_certificate_preserves_k_connectivity(k):
     graphs = list(rig_graphs(k)) + [g for _, g, kk, _ in adversarial_graphs(k) if kk == k]
     for g in graphs:
         cert = _scan_first_certificate(g, k)
-        assert cert.n == g.n and cert.edges <= g.edges
+        assert cert.n == g.n and set(cert.edge_list()) <= set(g.edge_list())
         assert cert.edge_count() <= k * (g.n - 1)
-        assert (oracle_flow_k_connected(g.n, cert.edges, k)
-                == oracle_flow_k_connected(g.n, g.edges, k))
+        assert (oracle_flow_k_connected(g.n, set(cert.edge_list()), k)
+                == oracle_flow_k_connected(g.n, set(g.edge_list()), k))
 
 
 def test_monotone_under_edge_addition():
@@ -251,13 +256,14 @@ def test_monotone_under_edge_addition():
     for _ in range(60):
         n = int(rng.integers(4, 10))
         g = random_graph(rng, n, 0.4)
-        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
+        present = set(g.edge_list())
+        missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
         rng.shuffle(missing)
         ks = [k for k in (1, 2, 3)]
         conn_before = {k: is_k_connected(g, k) for k in ks}
         pm_before = has_perfect_matching(g)
         for extra in missing[:3]:
-            g = SimpleGraph(n, g.edges | {extra})
+            g = SimpleGraph(n, g.edge_list() + [extra])
         for k in ks:
             if conn_before[k]:
                 assert is_k_connected(g, k)
@@ -269,20 +275,20 @@ def test_matching_examples(petersen):
     assert has_perfect_matching(cycle(4))
     assert not has_perfect_matching(complete(3))
     assert has_perfect_matching(petersen)
-    match = oracle_maximum_matching(petersen.n, petersen.edges)
+    match = oracle_maximum_matching(petersen.n, set(petersen.edge_list()))
     assert sorted(match) == sorted(range(10))
 
 
 def assert_matching_agrees(g):
     """has_perfect_matching against the old blossom matcher (and the exhaustive
     oracle on small graphs), and the helper's matching checked edge by edge."""
-    expected = -1 not in oracle_maximum_matching(g.n, g.edges)
+    expected = -1 not in oracle_maximum_matching(g.n, set(g.edge_list()))
     assert has_perfect_matching(g) == expected, (g.n, g.edge_list())
     if g.n <= 12:
-        assert oracle_has_perfect_matching(g.n, g.edges) == expected
+        assert oracle_has_perfect_matching(g.n, set(g.edge_list())) == expected
     if expected and g.n:
         mate = _perfect_matching(g)
-        assert all(mate[mate[v]] == v != mate[v] and g.has_edge(v, mate[v]) for v in range(g.n))
+        assert all(mate[mate[v]] == v != mate[v] and adjacent(g, v, mate[v]) for v in range(g.n))
 
 
 def test_perfect_matching_matches_oracles_on_random_graphs():
@@ -301,7 +307,7 @@ def test_perfect_matching_matches_oracles_on_hypothesis_graphs(data):
     n = data.draw(st.integers(0, 12))
     end = st.integers(0, max(n - 1, 0))
     pairs = data.draw(st.lists(st.tuples(end, end), max_size=3 * n))
-    assert_matching_agrees(SimpleGraph.from_edges(n, [(u, v) for u, v in pairs if u != v]))
+    assert_matching_agrees(SimpleGraph(n, [(u, v) for u, v in pairs if u != v]))
 
 
 def odd_cycles_with_chords(rng, n_min):
@@ -332,7 +338,7 @@ def test_blossom_search_walks_through_a_contracted_blossom():
                          (20, 21)])
     mate = [2, -1, 0, 5, -1, 3, 7, 6, 9, 8, 15, 12, 11, 14, 13, 10, 17, 16, 19, 18, 21, 20]
     assert _augment_from(g.indptr.tolist(), g.indices, mate, 1)
-    assert all(mate[mate[v]] == v != mate[v] and g.has_edge(v, mate[v]) for v in range(g.n))
+    assert all(mate[mate[v]] == v != mate[v] and adjacent(g, v, mate[v]) for v in range(g.n))
 
 
 def hub_with_arms(length, arms=3):
@@ -342,21 +348,21 @@ def hub_with_arms(length, arms=3):
         arm = [0] + list(range(n, n + length + 2))
         edges += list(zip(arm, arm[1:])) + [(arm[-1], arm[-3])]
         n += length + 2
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph(n, edges)
 
 
 def test_perfect_matching_tutte_obstructions(petersen):
-    star = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    star = SimpleGraph(4, [(0, 1), (0, 2), (0, 3)])
     triangles = cycles([0, 1, 2], [3, 4, 5], n=6)
     chain = cycles([0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11], n=12)
-    chain = SimpleGraph(12, chain.edges | {(2, 3), (5, 6), (8, 9)})
+    chain = SimpleGraph(12, chain.edge_list() + [(2, 3), (5, 6), (8, 9)])
     # (name, graph, has a perfect matching, double cover has one too)
     cases = [
         ("star K_{1,3}", star, False, False),
         ("three triangles off one cut vertex", hub_with_arms(1), False, True),
         ("three triangles on paths of 3 edges to a hub", hub_with_arms(3), False, True),
         ("two disjoint triangles", triangles, False, True),
-        ("two triangles joined by an edge", SimpleGraph(6, triangles.edges | {(2, 3)}), True, True),
+        ("two triangles joined by an edge", SimpleGraph(6, triangles.edge_list() + [(2, 3)]), True, True),
         ("four triangles joined in a chain", chain, True, True),
         ("Petersen", petersen, True, True),
     ]
@@ -369,7 +375,7 @@ def test_perfect_matching_tutte_obstructions(petersen):
 def test_hamiltonicity_examples(petersen):
     v = hamiltonicity(cycle(5))
     assert v.verdict == "yes" and len(v.certificate) == 5
-    k23 = SimpleGraph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    k23 = SimpleGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     assert hamiltonicity(k23).verdict == "no"
     assert hamiltonicity(petersen).verdict == "no"
     bowtie = hamiltonicity(cycles([0, 1, 2], [0, 3, 4], n=5))  # cut vertex at the search root
@@ -387,7 +393,7 @@ def test_hamiltonicity_certificates_are_verified():
         if v.verdict == "yes":
             cyc = v.certificate
             assert len(cyc) == n and len(set(cyc)) == n
-            assert all(g.has_edge(cyc[i], cyc[(i + 1) % n]) for i in range(n))
+            assert all(adjacent(g, cyc[i], cyc[(i + 1) % n]) for i in range(n))
 
 
 def test_hamiltonicity_never_rejects_planted_cycle():
@@ -421,80 +427,3 @@ def test_hamiltonicity_budget_exhaustion_is_unknown():
     v = hamiltonicity(g, budget=0, seed=Seed(6).child("tiny-budget"))
     assert v.verdict in ("unknown", "no")  # budget 0: only exact preconditions may answer
 
-
-def test_structure_audit_complete_graph():
-    g = complete(40)
-    params = AuditParams(gamma=0.5, k=1, degree_cutoff=3, sample_count=20)
-    report = structure_audit(g, params, Seed(9).child("audit"))
-    assert report.expansion_double.violations == 0
-    assert report.high_degree_expansion.violations == 0
-    assert report.low_degree_pairs == 0 and report.low_degree_close_pairs == 0
-
-
-def test_structure_audit_star_spacing_violations():
-    n = 30
-    star = SimpleGraph.from_edges(n, [(0, v) for v in range(1, n)])
-    params = AuditParams(gamma=0.5, k=1, degree_cutoff=1, sample_count=10)
-    report = structure_audit(star, params, Seed(9).child("audit2"))
-    # all leaves have degree 1 and sit at distance 2 through the hub
-    assert report.low_degree_pairs == math.comb(n - 1, 2)
-    assert report.low_degree_close_pairs == math.comb(n - 1, 2)
-
-
-def test_structure_audit_validation():
-    with pytest.raises(ValidationError):
-        AuditParams(gamma=1.5, k=1, degree_cutoff=1, sample_count=1)
-    with pytest.raises(ValidationError):
-        AuditParams(gamma=0.5, k=0, degree_cutoff=1, sample_count=1)
-
-
-def _pairwise_close_oracle(g, low):
-    # plain pairwise BFS distances, depth-limited to 5
-    adj = g.adjacency()
-    close = 0
-    for i, u in enumerate(low):
-        dist = {u: 0}
-        frontier = [u]
-        for d in range(1, 6):
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        for v in low[i + 1:]:
-            if v in dist:
-                close += 1
-    return close
-
-
-def test_low_degree_spacing_matches_pairwise_oracle():
-    from rig_lab.properties import _close_low_degree_pairs
-
-    rng = np.random.default_rng(31)
-    for cutoff in (2, 60):  # a few low vertices, then every vertex
-        for _ in range(15):
-            n = int(rng.integers(55, 90))
-            g = random_graph(rng, n, 0.05)
-            low = [v for v, d in enumerate(g.degrees()) if d <= cutoff]
-            got = _close_low_degree_pairs(g, low)
-            assert got == _pairwise_close_oracle(g, low), (n, cutoff)
-
-
-def test_structure_audit_supercritical_expansion():
-    # an independent-edge graph above the connectivity scale expands well:
-    # no double-expansion violations expected at this density
-    from rig_lab import UniformHypergraph, project_hypergraph, sample_h_independent
-
-    n = 2000
-    phat = 1.5 * math.log(n) / n
-    g = project_hypergraph(sample_h_independent(n, 2, phat, Seed(77).child("audit-g")))
-    params = AuditParams(gamma=0.6, k=1, degree_cutoff=19, sample_count=200)
-    report = structure_audit(g, params, Seed(77).child("audit-s"))
-    assert report.expansion_double.violations == 0
-    assert report.expansion_double.sampled > 0
-    assert report.expansion_vs_cap.sampled > 0
-    assert report.high_degree_expansion.sampled > 0
-    assert report.low_degree_pairs >= report.low_degree_close_pairs >= 0
-    assert report.params == params
