@@ -43,6 +43,7 @@ from .sampling import (
 from .thresholds import check_omega, coupling_parameters, default_omega, summary_stats
 
 EXIT_OK = 0
+EXIT_ABORTED = 1
 EXIT_PLANNING = 2
 EXIT_IO = 3
 
@@ -267,7 +268,7 @@ def _cmd_sweep(args) -> int:
     except SweepAborted as exc:
         emit_outputs(exc.partial, args.out)
         sys.stderr.write(f"error: {exc} (partial results flushed to {args.out})\n")
-        return 1
+        return EXIT_ABORTED
     written = emit_outputs(result, args.out)
     for path in written:
         sys.stderr.write(f"wrote {path}\n")

@@ -3,7 +3,8 @@
 A sweep targets one law (connectivity, k-connectivity, perfect matching,
 Hamiltonicity, minimum degree, or one of the refined homogeneous displays),
 plans model parameters for every grid value c, runs seeded trials, and
-compares empirical frequencies against the limit prediction.
+compares empirical frequencies against the limit prediction.  A trial is
+judged on its vertex-feature incidence, and projected only for a graph checker.
 
 Determinism contract: a sweep is a pure function of (config, master seed).
 Trials derive per-trial sub-seeds, so results are byte-identical at any
@@ -24,14 +25,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
+
 from . import __version__
 from .errors import OutOfRangeError, PlanningError, ValidationError
-from .graphs import SimpleGraph, project_rig
+from .graphs import RigInstance, project_rig
 from .properties import (
     DEFAULT_HC_BUDGET,
     hamiltonicity,
     is_biconnected,
-    is_connected,
     is_k_connected,
     has_perfect_matching,
     min_degree,
@@ -216,8 +220,9 @@ class TrialRecord:
     trial: int
     seed_word: int
     outcome: str  # "yes" | "no" | "unknown"
-    min_degree: int
-    # wall seconds to sample, project and judge; outside the determinism contract
+    degree_ok: bool  # min degree >= the law's level (1, 2 or k)
+    # wall seconds to sample, project (0.0 if never projected) and judge; outside the
+    # determinism contract
     stage_seconds: tuple[float, float, float] = field(compare=False)
 
 
@@ -328,35 +333,69 @@ def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoi
         raise PlanningError(f"cannot plan {config.theorem} point c={c}: {exc}") from exc
 
 
-def _judge(spec: LawSpec, k: int, g: SimpleGraph, hc_budget: int,
-           trial_seed: Seed) -> tuple[str, int]:
-    """Evaluate the law's property plus the implied min-degree consistency check."""
-    deg = min_degree(g)
+def _degree_bounds(inst: RigInstance) -> np.ndarray:
+    """Per vertex, the sum of |F| - 1 over its features F: at least its degree
+    in the projection, and positive iff that degree is."""
+    sizes = np.diff(inst.indptr)
+    return np.bincount(inst.members, weights=np.repeat(sizes - 1, sizes), minlength=inst.n)
+
+
+def _incidence_connected(inst: RigInstance) -> bool:
+    """Whether the projection is connected, by one breadth-first search from
+    vertex 0 over the vertex-feature graph, where feature i is node n + i."""
+    n = inst.n
+    indptr = np.concatenate((np.zeros(n, dtype=np.int64), inst.indptr))
+    arcs = csr_array((np.ones(len(inst.members)), inst.members, indptr),
+                     shape=(n + inst.m, n + inst.m))
+    # directed=False adds the vertex -> feature arcs, the transpose of the feature rows
+    order = breadth_first_order(arcs, 0, directed=False, return_predecessors=False)
+    return np.count_nonzero(order < n) == n
+
+
+def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
+           trial_seed: Seed) -> tuple[str, bool, float]:
+    """Decide the law's property on one sample, and whether its min degree
+    reaches the law's level; also return the seconds spent projecting.
+
+    Connectivity and min degree >= 1 are read off the incidence.  Every other
+    law answers "no" when some vertex's degree bound is below the level, and
+    only otherwise projects the sample for its checker.
+    """
     name = spec.name
+    level = k if spec.delta_level == 0 else spec.delta_level
+    bounds = _degree_bounds(inst)
+    covered = bool(bounds.min() > 0)  # min degree >= 1
     if name == "connectivity":
-        ok = is_connected(g)
-        if ok and deg < 1:
+        ok = _incidence_connected(inst)
+        if ok and not covered:
             raise AssertionError("connected graph with an isolated vertex")
-        return ("yes" if ok else "no"), deg
+        return ("yes" if ok else "no"), covered, 0.0
+    if name in ("min-degree", "min-degree-refined") and level == 1:
+        return ("yes" if covered else "no"), covered, 0.0
+    if inst.n >= 3 and bounds.min() < level:  # below 3 vertices the checkers validate n
+        return "no", False, 0.0
+    start = time.perf_counter()
+    g = project_rig(inst)
+    project_seconds = time.perf_counter() - start
+    degree_ok = min_degree(g) >= level
     if name in ("k-connectivity", "k-connectivity-refined"):
         ok = is_k_connected(g, k)
-        if ok and deg < k:
-            raise AssertionError(f"{k}-connected graph with min degree {deg}")
-        return ("yes" if ok else "no"), deg
-    if name == "perfect-matching":
+        if ok and not degree_ok:
+            raise AssertionError(f"{k}-connected graph with min degree below {k}")
+    elif name == "perfect-matching":
         ok = has_perfect_matching(g)
-        if ok and deg < 1:
+        if ok and not degree_ok:
             raise AssertionError("perfect matching with an isolated vertex")
-        return ("yes" if ok else "no"), deg
-    if name in ("hamiltonicity", "hamiltonicity-refined"):
-        verdict = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc"))
-        if verdict.verdict == "yes":
-            if deg < 2 or not is_biconnected(g):
-                raise AssertionError("Hamiltonian graph that is not 2-connected")
-        return verdict.verdict, deg
-    if name in ("min-degree", "min-degree-refined"):
-        return ("yes" if deg >= k else "no"), deg
-    raise AssertionError(f"unhandled law {name}")
+    elif name in ("hamiltonicity", "hamiltonicity-refined"):
+        verdict = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc")).verdict
+        if verdict == "yes" and not (degree_ok and is_biconnected(g)):
+            raise AssertionError("Hamiltonian graph that is not 2-connected")
+        return verdict, degree_ok, project_seconds
+    elif name == "min-degree-refined":
+        ok = degree_ok
+    else:
+        raise AssertionError(f"unhandled law {name}")
+    return ("yes" if ok else "no"), degree_ok, project_seconds
 
 
 def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> TrialRecord:
@@ -366,10 +405,8 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
     t0 = time.perf_counter()
     instance = sample_rig(point.n_vertices, point.probabilities, trial_seed.child("sample"))
     t1 = time.perf_counter()
-    g = project_rig(instance)
+    outcome, degree_ok, project_seconds = _judge(spec, k, instance, config.hc_budget, trial_seed)
     t2 = time.perf_counter()
-    outcome, deg = _judge(spec, k, g, config.hc_budget, trial_seed)
-    t3 = time.perf_counter()
     return TrialRecord(
         point_index=point.index,
         c=point.c,
@@ -378,8 +415,8 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
         trial=trial,
         seed_word=trial_seed.state_word(),
         outcome=outcome,
-        min_degree=deg,
-        stage_seconds=(t1 - t0, t2 - t1, t3 - t2),
+        degree_ok=degree_ok,
+        stage_seconds=(t1 - t0, project_seconds, t2 - t1 - project_seconds),
     )
 
 
@@ -410,7 +447,6 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     if threads < 1:
         raise ValidationError(f"threads must be positive, got {threads}")
     start = time.monotonic()
-    spec, k = parse_law_tag(config.theorem)
     points = [plan_point(config, c, i) for i, c in enumerate(config.c_grid)]
     tasks = [(config, pt, t) for pt in points for t in range(config.trials_per_point)]
     if threads == 1:
@@ -436,8 +472,7 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
         decided = yes + no
         freq = yes / decided if decided else 0.0
         low, high = wilson_interval(yes, decided)
-        deg_level = k if spec.delta_level == 0 else spec.delta_level
-        deg_ok = sum(1 for r in rs if r.min_degree >= deg_level)
+        deg_ok = sum(1 for r in rs if r.degree_ok)
         summaries.append(PointSummary(
             c=pt.c,
             trials=len(rs),

@@ -15,7 +15,9 @@ import numpy as np
 from scipy.sparse import csc_array
 
 from rig_lab import (FeatureProbabilities, OutOfRangeError, SimpleGraph, ValidationError,
-                     summary_stats)
+                     hamiltonicity, has_perfect_matching, is_connected, is_k_connected,
+                     min_degree, summary_stats)
+from rig_lab.properties import is_biconnected
 from rig_lab.coupling import CouplingReport, decompose_sizes
 
 
@@ -88,6 +90,38 @@ def oracle_clique_union(n, indptr, members):
     product = (b @ b.T).tocoo()
     off = product.row != product.col
     return SimpleGraph(n, zip(product.row[off].tolist(), product.col[off].tolist()))
+
+
+def oracle_judge(spec, k, g, hc_budget, trial_seed):
+    """The sweep judge before trials were judged on the incidence: every law's
+    checker on the projected graph g, plus its min-degree consistency check.
+    Returns (verdict, min degree)."""
+    deg = min_degree(g)
+    name = spec.name
+    if name == "connectivity":
+        ok = is_connected(g)
+        if ok and deg < 1:
+            raise AssertionError("connected graph with an isolated vertex")
+        return ("yes" if ok else "no"), deg
+    if name in ("k-connectivity", "k-connectivity-refined"):
+        ok = is_k_connected(g, k)
+        if ok and deg < k:
+            raise AssertionError(f"{k}-connected graph with min degree {deg}")
+        return ("yes" if ok else "no"), deg
+    if name == "perfect-matching":
+        ok = has_perfect_matching(g)
+        if ok and deg < 1:
+            raise AssertionError("perfect matching with an isolated vertex")
+        return ("yes" if ok else "no"), deg
+    if name in ("hamiltonicity", "hamiltonicity-refined"):
+        verdict = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc"))
+        if verdict.verdict == "yes":
+            if deg < 2 or not is_biconnected(g):
+                raise AssertionError("Hamiltonian graph that is not 2-connected")
+        return verdict.verdict, deg
+    if name in ("min-degree", "min-degree-refined"):
+        return ("yes" if deg >= k else "no"), deg
+    raise AssertionError(f"unhandled law {name}")
 
 
 def oracle_is_connected(n, edges):

@@ -1,27 +1,33 @@
 import json
 import math
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rig_lab import (
     ExperimentConfig,
-    FeatureProbabilities,
+    HamiltonicityVerdict,
     PlanningError,
+    RigInstance,
+    Seed,
     ValidationError,
     compare_to_limit,
     emit_outputs,
     limit_probability,
     per_feature_mass,
     plan_point,
+    project_rig,
     run_sweep,
+    sample_rig,
     summary_stats,
     wilson_interval,
 )
-from rig_lab.experiments import parse_law_tag, render_results_csv, render_summary_json
+from rig_lab.experiments import (SweepAborted, _judge, parse_law_tag, render_results_csv,
+                                 render_summary_json)
+from rig_lab.properties import DEFAULT_HC_BUDGET
 from rig_lab.thresholds import _scale_explicit
 from rig_lab import cli
-from oracles import oracle_scale_explicit
+from oracles import oracle_judge, oracle_scale_explicit
 
 
 def make_config(**overrides):
@@ -137,10 +143,18 @@ def test_sweep_determinism_and_thread_independence(tmp_path):
     for side in ("a", "b"):  # timings.csv: wall time, then per-stage totals over all trials
         header, row = (tmp_path / side / "timings.csv").read_text().splitlines()
         assert header == "wall_seconds,sample_seconds,project_seconds,judge_seconds"
-        wall, *stages = map(float, row.split(","))
-        assert all(t > 0 for t in stages)
+        wall, sample, project, judge = map(float, row.split(","))
+        # connectivity is decided on the incidence, so no trial projects
+        assert sample > 0 and judge > 0 and project == 0.0
         if side == "a":  # one process: the stages run inside the sweep's wall time
-            assert sum(stages) <= wall
+            assert sample + project + judge <= wall
+    # perfect matching projects every trial that the degree bound does not rule out
+    pm = run_sweep(make_config(theorem="perfect-matching", n=40, m=80, c_grid=(1.0,),
+                               trials_per_point=6))
+    emit_outputs(pm, tmp_path / "pm")
+    wall, *stages = map(float, (tmp_path / "pm" / "timings.csv").read_text().splitlines()[1]
+                        .split(","))
+    assert all(t > 0 for t in stages) and sum(stages) <= wall
 
 
 def test_sweep_consistency_assertions_hold():
@@ -212,10 +226,10 @@ def test_sweep_aborts_with_partial_records(monkeypatch, tmp_path):
 
     original = exp._judge
 
-    def flaky(spec, k, g, hc_budget, trial_seed):
+    def flaky(spec, k, inst, hc_budget, trial_seed):
         if trial_seed.labels[-1] == 3:  # fail exactly one trial
             raise RuntimeError("synthetic trial failure")
-        return original(spec, k, g, hc_budget, trial_seed)
+        return original(spec, k, inst, hc_budget, trial_seed)
 
     monkeypatch.setattr(exp, "_judge", flaky)
     cfg = make_config(trials_per_point=6, n=40, m=40)
@@ -226,6 +240,104 @@ def test_sweep_aborts_with_partial_records(monkeypatch, tmp_path):
     emit_outputs(partial, tmp_path)  # partials can be flushed
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert len(lines) - 1 == 5
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
+                                    "trials_per_point": 6, "master_seed": 99,
+                                    "experiment_id": "t"}))
+    out = tmp_path / "cli"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_ABORTED
+    assert (out / "results.csv").read_text() == (tmp_path / "results.csv").read_text()
+
+
+def test_hamiltonicity_below_three_vertices_aborts_the_sweep():
+    # no degree bound may answer for a checker that rejects its input
+    cfg = make_config(theorem="hamiltonicity", n=2, m=5, c_grid=(1.0,), trials_per_point=3)
+    with pytest.raises(SweepAborted, match="ValidationError: Hamiltonicity needs at least 3"):
+        run_sweep(cfg)
+
+
+_ORACLE_LAWS = ("connectivity", "min-degree", "perfect-matching", "hamiltonicity",
+                "hamiltonicity-refined", "k-connectivity(1)", "k-connectivity(2)",
+                "k-connectivity(3)", "k-connectivity-refined(2)", "min-degree-refined(1)",
+                "min-degree-refined(2)", "min-degree-refined(3)")
+
+
+def _assert_judge_matches_oracle(tags, inst, trial_seed):
+    """The incidence judge against the projection judge it replaced: the same
+    verdict, min degree >= the law's level exactly when degree_ok, and a
+    ValidationError wherever the oracle raises one."""
+    g = project_rig(inst)
+    for tag in tags:
+        spec, k = parse_law_tag(tag)
+        level = k if spec.delta_level == 0 else spec.delta_level
+        try:
+            expected, deg = oracle_judge(spec, k, g, DEFAULT_HC_BUDGET, trial_seed)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
+            continue
+        verdict, degree_ok, _ = _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
+        assert (verdict, degree_ok) == (expected, deg >= level), (tag, inst.feature_sets)
+
+
+@st.composite
+def _incidences(draw):
+    n = draw(st.integers(2, 12))
+    feature = st.one_of(st.sets(st.integers(0, n - 1)), st.sets(st.integers(0, n - 1), max_size=1),
+                        st.just(frozenset(range(n))))
+    features = draw(st.lists(feature, min_size=1, max_size=8))
+    if draw(st.booleans()):  # vertex 0 isolated
+        features = [set(f) - {0} for f in features]
+    return RigInstance(n, len(features), features)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_incidences())
+def test_judge_matches_projection_oracle_on_small_incidences(inst):
+    _assert_judge_matches_oracle(_ORACLE_LAWS, inst, Seed(5).child("judge"))
+
+
+# the six benchmark sweep configs, at reduced n
+_BENCH_CONFIGS = [
+    ("connectivity", 300, 300, (-2.0, 0.0, 2.0), {"kind": "homogeneous"}),
+    ("connectivity", 300, 300, (-1.0, 1.0), {"kind": "explicit", "values": [1.0, 4.0] * 150}),
+    ("perfect-matching", 150, 300, (0.0, 2.0), {"kind": "homogeneous"}),
+    ("hamiltonicity", 150, 150, (-4.0, 4.0), {"kind": "homogeneous"}),
+    ("k-connectivity(2)", 120, 120, (-1.0, 1.0), {"kind": "homogeneous"}),
+    ("k-connectivity(3)", 60, 60, (-1.0, 1.0), {"kind": "homogeneous"}),
+]
+
+
+@pytest.mark.parametrize("law, n, m, c_grid, profile", _BENCH_CONFIGS,
+                         ids=[f"{c[0]}-{c[4]['kind']}" for c in _BENCH_CONFIGS])
+def test_judge_matches_projection_oracle_on_sweep_trials(law, n, m, c_grid, profile):
+    cfg = make_config(theorem=law, n=n, m=m, c_grid=c_grid, profile=profile, master_seed=31)
+    for i, c in enumerate(c_grid):
+        pt = plan_point(cfg, c, i)
+        for t in range(25):
+            trial_seed = Seed(cfg.master_seed).child(cfg.experiment_id, i, t)
+            inst = sample_rig(pt.n_vertices, pt.probabilities, trial_seed.child("sample"))
+            _assert_judge_matches_oracle((law,), inst, trial_seed)
+
+
+def test_judge_consistency_assertions_still_raise(monkeypatch):
+    import rig_lab.experiments as exp
+
+    spec, k = parse_law_tag("connectivity")
+    monkeypatch.setattr(exp, "_incidence_connected", lambda inst: True)
+    with pytest.raises(AssertionError, match="isolated vertex"):
+        exp._judge(spec, k, RigInstance(3, 1, [{1, 2}]), 0, Seed(1))
+    # vertex 0 has degree bound 2 from two copies of one edge, but degree 1
+    spec, k = parse_law_tag("k-connectivity(2)")
+    monkeypatch.setattr(exp, "is_k_connected", lambda g, k: True)
+    with pytest.raises(AssertionError, match="min degree below 2"):
+        exp._judge(spec, k, RigInstance(3, 4, [{0, 1}, {0, 1}, {1, 2}, {1, 2}]), 0, Seed(1))
+    # two triangles sharing vertex 2: min degree 2, and 2 is a cut vertex
+    spec, k = parse_law_tag("hamiltonicity")
+    monkeypatch.setattr(exp, "hamiltonicity",
+                        lambda g, budget, seed: HamiltonicityVerdict("yes", None, 0))
+    with pytest.raises(AssertionError, match="not 2-connected"):
+        exp._judge(spec, k, RigInstance(5, 2, [{0, 1, 2}, {2, 3, 4}]), 0, Seed(1))
 
 
 def test_wilson_interval_contains_point_estimate():

@@ -24,7 +24,7 @@ from rig_lab import (
     sample_h_independent,
     sample_rig,
 )
-from rig_lab.experiments import render_results_csv
+from rig_lab.experiments import render_results_csv, render_summary_json
 from rig_lab.sampling import MAX_DRAWS, _floyd_rows, draw_subsets, unrank_subsets
 from oracles import oracle_project_rig, oracle_sample_rig, subset_rank, subset_unrank
 
@@ -135,6 +135,46 @@ def test_sample_streams_are_pinned():
     csv = render_results_csv(run_sweep(config))
     assert hashlib.sha256(csv.encode()).hexdigest() == (
         "ec3c0994a9910d2983f8a4ed6f1a25c5b1a5f4dcfe4389b258fa7fc0f69a2e42")
+
+
+_LAW_PINS = [  # (law, n, m, c_grid, trials, sha256 of results.csv, sha256 of summary.json)
+    ("connectivity", 80, 80, (-1.0, 1.0), 10,
+     "186e5492372a5a67c6533bc6fcd6ad80fedb2ecc3203c5e91b6618f97668c72a",
+     "616a72cac10cdc0a8bcd934c592e86ca051e43569c69b5722acc83222d08bd8d"),
+    ("min-degree", 80, 80, (-1.0, 1.0), 10,
+     "e7176833844769802ff34b3da3acf6d8438e8042fcca77220c1d5107e932c97e",
+     "3d496d118cfeb7323e06d8ee5fea158e74bfa0c82425959854ea4d8abb841db5"),
+    ("perfect-matching", 40, 60, (-1.0, 1.0), 10,
+     "b4754746214dd861916715f44c040c1d3659fb4643ebf330b74bb2e821d59520",
+     "136e1181261399eca1f5a5e785d656af49cc23ec4bad486cf70cc60a1701984c"),
+    ("hamiltonicity", 40, 40, (-2.0, 2.0), 8,
+     "a3d50b35723c24f4e94a1cd4c65c3a3517cc4a81e89040c7e660d6adfc6d4a7d",
+     "18bd653db225a05beabd2fe8ef9dfc4531caff2af71f2c2550c5a62e5796a7b6"),
+    ("k-connectivity(2)", 60, 60, (-1.0, 1.0), 8,
+     "9adcd53ca657c363d1789d956c732cb19244b8e56a7b913ed82179ff9cdf3000",
+     "b6fbcd17aaa48a4d5eed5633da47abfbdf90af081076cfb9d8ab903dc8d41066"),
+    ("k-connectivity(3)", 50, 50, (-3.0, 1.0), 6,
+     "0d3bf042dbbf98616e69b3fbba47b0218b5fff5c7e2c6dace8d30c0320809860",
+     "6c9b59bdc2244f7d6901640b3b6bdac82a86f9c29e10e2e1b6ab07a81fef5c53"),
+    ("hamiltonicity-refined", 100, 40, (-1.0, 1.0), 8,
+     "ad2093c0e4ee95c7e4848d6db923c0e34e4cbc16a26395ed51bc2347f501ab57",
+     "0fff05c320e4590d9e1ed6e9d9d7530ded457d110d0aad8a6e425aeca89b5c6d"),
+    ("min-degree-refined(2)", 100, 40, (-1.0, 1.0), 10,
+     "ec989aeddef709cdf15019b0562c99e107692c31d46e5c6433a788f97be52286",
+     "59d4c9b685aeedf51d4ab8640c2a0f3f0b7941988d97c2ae7f87870648aeac69"),
+]
+
+
+@pytest.mark.parametrize("law, n, m, c_grid, trials, results_digest, summary_digest", _LAW_PINS,
+                         ids=[pin[0] for pin in _LAW_PINS])
+def test_law_sweep_outputs_are_pinned(law, n, m, c_grid, trials, results_digest, summary_digest):
+    # one small sweep per law: its verdicts and min-degree shares may not change
+    # with the way a trial is judged, only with a versioned stream change
+    config = ExperimentConfig(theorem=law, n=n, m=m, c_grid=c_grid, trials_per_point=trials,
+                              master_seed=2024, experiment_id="law-pin")
+    result = run_sweep(config)
+    assert hashlib.sha256(render_results_csv(result).encode()).hexdigest() == results_digest
+    assert hashlib.sha256(render_summary_json(result).encode()).hexdigest() == summary_digest
 
 
 _OUTPUT_PINS = [

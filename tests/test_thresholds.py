@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from rig_lab import (
     FeatureProbabilities,
     OutOfRangeError,
-    Seed,
     ThresholdStats,
     ValidationError,
     coupling_parameters,
