@@ -221,6 +221,7 @@ class TrialRecord:
     seed_word: int
     outcome: str  # "yes" | "no" | "unknown"
     degree_ok: bool  # min degree >= the law's level (1, 2 or k)
+    hc_effort: int  # the Hamiltonicity checker's effort; 0 for the other laws
     # wall seconds to sample, project (0.0 if never projected) and judge; outside the
     # determinism contract
     stage_seconds: tuple[float, float, float] = field(compare=False)
@@ -353,32 +354,36 @@ def _incidence_connected(inst: RigInstance) -> bool:
 
 
 def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
-           trial_seed: Seed) -> tuple[str, bool, float]:
+           trial_seed: Seed) -> tuple[str, bool, int, float]:
     """Decide the law's property on one sample, and whether its min degree
-    reaches the law's level; also return the seconds spent projecting.
+    reaches the law's level; also return the Hamiltonicity checker's effort
+    (0 for the other laws) and the seconds spent projecting.
 
-    Connectivity and min degree >= 1 are read off the incidence.  Every other
-    law answers "no" when some vertex's degree bound is below the level, and
-    only otherwise projects the sample for its checker.
+    Connectivity, k-connectivity for k = 1 and min degree >= 1 are read off
+    the incidence.  Every other law answers "no" when some vertex's degree
+    bound is below the level, and only otherwise projects the sample for its
+    checker.
     """
     name = spec.name
     level = k if spec.delta_level == 0 else spec.delta_level
     bounds = _degree_bounds(inst)
     covered = bool(bounds.min() > 0)  # min degree >= 1
-    if name == "connectivity":
-        ok = _incidence_connected(inst)
+    k_connectivity = name in ("k-connectivity", "k-connectivity-refined")
+    if name == "connectivity" or (k_connectivity and k == 1):
+        # kappa >= 1 needs two vertices, as in is_k_connected; is_connected does not
+        ok = (inst.n > 1 or not k_connectivity) and _incidence_connected(inst)
         if ok and not covered:
             raise AssertionError("connected graph with an isolated vertex")
-        return ("yes" if ok else "no"), covered, 0.0
+        return ("yes" if ok else "no"), covered, 0, 0.0
     if name in ("min-degree", "min-degree-refined") and level == 1:
-        return ("yes" if covered else "no"), covered, 0.0
+        return ("yes" if covered else "no"), covered, 0, 0.0
     if inst.n >= 3 and bounds.min() < level:  # below 3 vertices the checkers validate n
-        return "no", False, 0.0
+        return "no", False, 0, 0.0
     start = time.perf_counter()
     g = project_rig(inst)
     project_seconds = time.perf_counter() - start
     degree_ok = min_degree(g) >= level
-    if name in ("k-connectivity", "k-connectivity-refined"):
+    if k_connectivity:
         ok = is_k_connected(g, k)
         if ok and not degree_ok:
             raise AssertionError(f"{k}-connected graph with min degree below {k}")
@@ -387,15 +392,15 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
         if ok and not degree_ok:
             raise AssertionError("perfect matching with an isolated vertex")
     elif name in ("hamiltonicity", "hamiltonicity-refined"):
-        verdict = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc")).verdict
-        if verdict == "yes" and not (degree_ok and is_biconnected(g)):
+        result = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc"))
+        if result.verdict == "yes" and not (degree_ok and is_biconnected(g)):
             raise AssertionError("Hamiltonian graph that is not 2-connected")
-        return verdict, degree_ok, project_seconds
+        return result.verdict, degree_ok, result.effort, project_seconds
     elif name == "min-degree-refined":
         ok = degree_ok
     else:
         raise AssertionError(f"unhandled law {name}")
-    return ("yes" if ok else "no"), degree_ok, project_seconds
+    return ("yes" if ok else "no"), degree_ok, 0, project_seconds
 
 
 def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> TrialRecord:
@@ -405,7 +410,8 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
     t0 = time.perf_counter()
     instance = sample_rig(point.n_vertices, point.probabilities, trial_seed.child("sample"))
     t1 = time.perf_counter()
-    outcome, degree_ok, project_seconds = _judge(spec, k, instance, config.hc_budget, trial_seed)
+    outcome, degree_ok, hc_effort, project_seconds = _judge(spec, k, instance, config.hc_budget,
+                                                            trial_seed)
     t2 = time.perf_counter()
     return TrialRecord(
         point_index=point.index,
@@ -416,6 +422,7 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
         seed_word=trial_seed.state_word(),
         outcome=outcome,
         degree_ok=degree_ok,
+        hc_effort=hc_effort,
         stage_seconds=(t1 - t0, project_seconds, t2 - t1 - project_seconds),
     )
 
@@ -579,10 +586,12 @@ def render_limit_table(result: SweepResult) -> str:
 
 
 def render_timings_csv(result: SweepResult) -> str:
-    """The sweep's wall time, then each trial stage's time summed over all trials."""
+    """The sweep's wall time, then each trial stage's time summed over all
+    trials, then the Hamiltonicity checker's effort summed over all trials."""
     totals = [math.fsum(r.stage_seconds[i] for r in result.records) for i in range(3)]
-    return ("wall_seconds,sample_seconds,project_seconds,judge_seconds\n"
-            + ",".join(map(repr, [result.wall_seconds, *totals])) + "\n")
+    effort = sum(r.hc_effort for r in result.records)
+    return ("wall_seconds,sample_seconds,project_seconds,judge_seconds,hc_effort\n"
+            + ",".join(map(repr, [result.wall_seconds, *totals, effort])) + "\n")
 
 
 def emit_outputs(result: SweepResult, out_dir) -> list[str]:

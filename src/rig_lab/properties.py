@@ -11,10 +11,13 @@
   double cover (scipy), then Edmonds' blossom search over CSR rows from the
   exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
   replaced is ``oracle_maximum_matching`` in the tests)
-* Hamiltonicity, by a three-stage pipeline: exact necessary conditions,
-  a rotation-extension heuristic (Yes answers only), and an exact phase
-  (bitmask dynamic program for small n, pruned backtracking under a budget
-  otherwise).  "No" is only ever produced by an exact argument.
+* Hamiltonicity, by a three-stage pipeline: exact necessary conditions
+  (2-connectivity and bipartite parity from one depth-first search), Pósa's
+  rotation-extension search over the CSR rows (Yes answers only; the
+  set-based search it replaced is ``oracle_posa_search`` in the tests), and
+  an exact phase (bitmask dynamic program for small n, pruned backtracking
+  under a budget otherwise).  "No" is only ever produced by an exact
+  argument.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import (breadth_first_order, depth_first_order, dijkstra,
+from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
                                   maximum_bipartite_matching, maximum_flow)
 
 from .errors import ValidationError
@@ -52,6 +55,28 @@ def is_connected(g: SimpleGraph) -> bool:
 _FLOW_ARC_CAP = 1 << 14  # arcs past which the pair copies go to a new flow network
 
 
+def _in_sorted(keys: np.ndarray, values):
+    """Whether each of `values` (an int or an int array) is in the nonempty
+    sorted array `keys`, by `searchsorted`."""
+    at = np.minimum(keys.searchsorted(values), len(keys) - 1)
+    return keys[at] == values
+
+
+def _has_arcs(g: SimpleGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Per pair, whether (tails[i], heads[i]) is an edge of g, which has at
+    least one edge: one bisection of all the pairs' sorted rows at once, so no
+    temporary is as long as the graph's arc list."""
+    lo, end = g.indptr[tails], g.indptr[tails + 1]
+    hi = end
+    while (live := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = live & (g.indices[np.where(live, mid, 0)] < heads)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(live & ~below, mid, hi)
+    found = lo < end
+    return found & (g.indices[np.where(found, lo, 0)] == heads)
+
+
 def _cut_pairs(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
     """The Esfahanian-Hakimi pairs (s, t), which cover some minimum vertex cut
     of a non-complete graph: a min-degree vertex v0 against its non-neighbors,
@@ -64,11 +89,7 @@ def _cut_pairs(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
     far = np.flatnonzero(apart)
     a, b = np.triu_indices(len(nbrs), 1)
     a, b = nbrs[a], nbrs[b]
-    tails, heads = g.arcs()
-    arc_keys = tails * g.n + heads  # sorted: rows in order, each row sorted
-    keys = a * g.n + b
-    at = np.minimum(np.searchsorted(arc_keys, keys), len(arc_keys) - 1)
-    gap = arc_keys[at] != keys
+    gap = ~_has_arcs(g, a, b)
     return (np.concatenate((np.full(len(far), v0), a[gap])),
             np.concatenate((far, b[gap])))
 
@@ -264,143 +285,164 @@ class HamiltonicityVerdict:
     effort: int
 
 
-def _is_hamilton_cycle(adj: list[set[int]], cycle) -> bool:
-    n = len(adj)
-    if cycle is None or len(cycle) != n or len(set(cycle)) != n:
+def _is_hamilton_cycle(g: SimpleGraph, cycle: list[int]) -> bool:
+    """Whether `cycle` lists each vertex once and joins each vertex to the next,
+    the last to the first, by edges of g, all tested in one `_has_arcs` call."""
+    c = np.asarray(cycle, dtype=np.int64)
+    if len(c) != g.n or not np.array_equal(np.sort(c), np.arange(g.n)):
         return False
-    return all(cycle[(i + 1) % n] in adj[cycle[i]] for i in range(n))
+    return bool(_has_arcs(g, c, np.roll(c, -1)).all())
 
 
-def is_biconnected(g: SimpleGraph) -> bool:
-    """Exact 2-connectivity (n >= 3, connected, no cut vertex) from low points
-    over scipy's depth-first tree (Hopcroft-Tarjan, CACM 16, 1973).
+def _biconnected_sides(g: SimpleGraph) -> tuple[bool, np.ndarray | None]:
+    """One depth-first search from vertex 0 (scipy, n >= 1).  Returns whether g
+    is 2-connected (n >= 3, connected, no cut vertex) and, if g is connected,
+    each vertex's depth parity in the tree, which 2-colours g iff g is
+    bipartite; None if g is disconnected.
 
-    scipy's search rescans a row after each child, so every non-tree edge joins
-    an ancestor to a descendant; low[v] may count the tree edge to v's parent.
+    A cut vertex shows in low points over the tree (Hopcroft-Tarjan, CACM 16,
+    1973).  scipy's search rescans a row after each child, so every non-tree
+    edge joins an ancestor to a descendant; low[v] may count the tree edge to
+    v's parent.
     """
     n = g.n
-    if n < 3 or min_degree(g) < 2:
-        return False
     # directed=True: the store is symmetric, and directed=False builds a transpose
     order, parent = depth_first_order(g.matrix(), 0, directed=True, return_predecessors=True)
-    if len(order) < n or np.count_nonzero(parent == 0) > 1:
-        return False  # disconnected, or the root has two subtrees
+    if len(order) < n:
+        return False, None
+    root_children = np.count_nonzero(parent == 0)
+    order = order.tolist()
+    parent = parent.tolist()
+    side = [0] * n
+    for v in order[1:]:  # parents before children
+        side[v] = side[parent[v]] ^ 1
+    side = np.array(side, dtype=np.int8)
+    if n < 3 or root_children > 1:
+        return False, side  # the root of a tree with two subtrees is a cut vertex
     disc = np.empty(n, dtype=np.int64)
     disc[order] = np.arange(n)
-    # reduceat needs every row nonempty, which min degree >= 2 guarantees
+    # reduceat needs every row nonempty, which a connected graph on n >= 2 vertices has
     low = np.minimum.reduceat(disc[g.indices], g.indptr[:-1]).tolist()
     disc = disc.tolist()
-    parent = parent.tolist()
-    for v in order[:0:-1].tolist():  # non-root vertices, children before parents
+    for v in order[:0:-1]:  # non-root vertices, children before parents
         p = parent[v]
         if p != 0:
             if low[v] >= disc[p]:
-                return False  # p is a cut vertex
+                return False, side  # p is a cut vertex
             low[p] = min(low[p], low[v])
-    return True
+    return True, side
 
 
-def _bipartite_parts(g: SimpleGraph) -> tuple[int, int] | None:
-    """Part sizes if bipartite, else None (graph assumed connected)."""
-    # directed=True: the store is symmetric, and directed=False builds a transpose
-    side = dijkstra(g.matrix(), directed=True, indices=0, unweighted=True).astype(np.int64) % 2
-    tails, heads = g.arcs()
-    if (side[tails] == side[heads]).any():
+def is_biconnected(g: SimpleGraph) -> bool:
+    """Exact 2-connectivity: n >= 3, min degree >= 2, and one depth-first
+    search from vertex 0 that reaches every vertex and finds no cut vertex."""
+    return g.n >= 3 and min_degree(g) >= 2 and _biconnected_sides(g)[0]
+
+
+def _bipartite_parts(g: SimpleGraph, side: np.ndarray) -> tuple[int, int] | None:
+    """Part sizes if the 2-colouring `side` is proper, so g is bipartite; else
+    None.  On a connected graph a spanning tree's depth parity is proper iff
+    g is bipartite, since a bipartition of a connected graph is unique."""
+    if (side[g.indices] == np.repeat(side, g.degrees())).any():
         return None
-    return g.n - int(side.sum()), int(side.sum())
+    ones = int(np.count_nonzero(side))
+    return g.n - ones, ones
 
 
-def _posa_search(adj: list[list[int]], adj_sets: list[set[int]], n: int,
-                 rng: np.random.Generator, budget: int) -> tuple[list[int] | None, int]:
-    """Rotation-extension heuristic; returns a cycle or None.  Yes-only oracle.
+def _posa_search(g: SimpleGraph, rng: np.random.Generator,
+                 budget: int) -> tuple[list[int] | None, int]:
+    """Pósa's rotation-extension search; returns a cycle or None, and the
+    effort spent.  Yes-only: None proves nothing.
 
-    Rotations look one step ahead: pivots whose successor can still extend
-    the path (or close the full cycle) are preferred, which keeps the number
-    of blind rotations small on expander-like inputs.
+    Each restart grows a path from a random start.  An extension appends a
+    random neighbor of the end that is off the path.  With none, a rotation
+    reverses the path beyond a neighbor of the end.  Rotations look one step
+    ahead: pivots whose new end can still extend the path (or, on a full path,
+    close the cycle) are preferred, which keeps the number of blind rotations
+    small on expander-like inputs.  Rows are the sorted CSR slices, so
+    candidates come in row order and each choice is one `rng.integers` over
+    them; a closing edge is found by `searchsorted` on the start's row.  g has
+    no isolated vertex (`hamiltonicity` runs the search on 2-connected graphs).
     """
+    n = g.n
+    ptr, indices = g.indptr.tolist(), g.indices
+    degrees = g.degrees()
     effort = 0
     max_restarts = 20 * n
     rot_cap = n * n
+    stall_cap = 8 * n + 64
     for _ in range(max_restarts):
         if effort >= budget:
             break
-        start = int(rng.integers(n))
-        pos = [-1] * n
-        path = [start]
+        start = e = int(rng.integers(n))
+        pos = np.full(n, -1, dtype=np.int64)
+        off_path = np.ones(n, dtype=bool)  # pos < 0, kept so that a row masks by one gather
+        path = np.empty(n, dtype=np.int64)
         pos[start] = 0
-        out_deg = [len(adj[v]) for v in range(n)]  # neighbors outside the path
-        for x in adj[start]:
-            out_deg[x] -= 1
+        off_path[start] = False
+        path[0] = start
+        length = 1
+        out_deg = degrees.copy()  # neighbors off the path
+        out_deg[indices[ptr[start]:ptr[start + 1]]] -= 1
         rotations = 0
         stalled = 0
-        stall_cap = 8 * n + 64
         while rotations < rot_cap and stalled < stall_cap and effort < budget:
-            e = path[-1]
             effort += 1
-            fresh = [w for w in adj[e] if pos[w] < 0]
-            if fresh:
-                w = fresh[int(rng.integers(len(fresh)))]
-                pos[w] = len(path)
-                path.append(w)
-                for x in adj[w]:
-                    out_deg[x] -= 1
+            row = indices[ptr[e]:ptr[e + 1]]
+            fresh = row[off_path[row]]
+            if len(fresh):
+                e = int(fresh[rng.integers(len(fresh))])
+                pos[e] = length
+                off_path[e] = False
+                path[length] = e
+                length += 1
+                out_deg[indices[ptr[e]:ptr[e + 1]]] -= 1
                 stalled = 0
                 continue
-            full = len(path) == n
-            start = path[0]
-            if start in adj_sets[e]:
+            full = length == n
+            start = int(path[0])
+            start_row = indices[ptr[start]:ptr[start + 1]]
+            if _in_sorted(start_row, e):
                 if full:
-                    return path, effort
+                    return path.tolist(), effort
                 # short cycle: re-open it at a vertex with an outside neighbor
-                reroot = -1
-                for i, v in enumerate(path):
-                    if out_deg[v] > 0:
-                        reroot = i
-                        break
-                if reroot < 0:
+                outside = np.flatnonzero(out_deg[path[:length]] > 0)
+                if not len(outside):
                     break  # the path's component is exhausted
-                path = path[reroot + 1:] + path[:reroot + 1]
-                for j, v in enumerate(path):
-                    pos[v] = j
+                cut = int(outside[0]) + 1
+                path[:length] = np.concatenate((path[cut:length], path[:cut]))
+                pos[path[:length]] = np.arange(length)
+                e = int(path[length - 1])
                 rotations += 1
                 effort += 1
                 stalled = 0
                 continue
             if full and rng.integers(2):
                 # work the other endpoint while hunting for the closing edge
-                path.reverse()
-                for j, v in enumerate(path):
-                    pos[v] = j
-                e = path[-1]
-                start = path[0]
-            last = len(path) - 1
-            goods = []
-            closing = -1
-            fallback = []
-            for u in adj[e]:
-                i = pos[u]
-                if i < 0 or i == last - 1 or i == last:
-                    continue
-                w = path[i + 1]
-                if out_deg[w] > 0:
-                    goods.append(i)
-                elif full and w in adj_sets[start]:
-                    closing = i
-                else:
-                    fallback.append(i)
-            if closing >= 0:
-                best = closing
-            elif goods:
-                best = goods[int(rng.integers(len(goods)))]
-            elif fallback:
-                best = fallback[int(rng.integers(len(fallback)))]
+                path = path[::-1].copy()
+                pos[path] = np.arange(n)
+                e = int(path[-1])
+                row = indices[ptr[e]:ptr[e + 1]]
+                start = int(path[0])
+                start_row = indices[ptr[start]:ptr[start + 1]]
+            # pivots: path positions of e's neighbors (all on the path here) but its predecessor's
+            pivots = pos[row]
+            pivots = pivots[pivots < length - 2]
+            nexts = path[pivots + 1]
+            good = out_deg[nexts] > 0
+            if full and len(closing := pivots[~good & _in_sorted(start_row, nexts)]):
+                best = closing[-1]
+            elif good.any():
+                goods = pivots[good]
+                best = goods[rng.integers(len(goods))]
+            elif len(pivots):
+                best = pivots[rng.integers(len(pivots))]
             else:
                 break
-            seg = path[best + 1:]
-            seg.reverse()
-            path[best + 1:] = seg
-            for j in range(best + 1, len(path)):
-                pos[path[j]] = j
+            best = int(best) + 1
+            path[best:length] = path[best:length][::-1].copy()
+            pos[path[best:length]] = np.arange(best, length)
+            e = int(path[length - 1])
             rotations += 1
             effort += 1
             stalled += 1
@@ -561,39 +603,44 @@ def hamiltonicity(g: SimpleGraph, budget: int = DEFAULT_HC_BUDGET,
     bipartite parity, or a completed exhaustive search); the heuristic can
     only contribute "yes" with a verified certificate.  "unknown" means the
     exact search exhausted its budget.
+
+    One depth-first search decides 2-connectivity and 2-colours the graph for
+    the parity test.  Pósa's search (half the budget) runs on the CSR rows,
+    and every cycle is checked by bisecting the sorted rows.  Only the exact
+    phase builds per-vertex neighbor sets or bitmasks.
     """
     if g.n < 3:
         raise ValidationError(f"Hamiltonicity needs at least 3 vertices, got n={g.n}")
     if budget < 0:
         raise ValidationError(f"budget must be nonnegative, got {budget}")
-    effort = 0
-    if not is_biconnected(g):
-        return HamiltonicityVerdict("no", None, effort)
-    parts = _bipartite_parts(g)
+    no = HamiltonicityVerdict("no", None, 0)
+    if min_degree(g) < 2:
+        return no
+    biconnected, side = _biconnected_sides(g)
+    if not biconnected:
+        return no
+    parts = _bipartite_parts(g, side)
     if parts is not None and parts[0] != parts[1]:
-        return HamiltonicityVerdict("no", None, effort)
+        return no
 
-    adj_lists = g.neighbor_lists()
-    adj_sets = [set(row) for row in adj_lists]
     rng = _as_rng(Seed(0, ("hamiltonicity-default",)) if seed is None else seed)
-    cycle, used = _posa_search(adj_lists, adj_sets, g.n, rng, budget // 2)
-    effort += used
-    if cycle is not None and _is_hamilton_cycle(adj_sets, cycle):
+    cycle, effort = _posa_search(g, rng, budget // 2)
+    if cycle is not None and _is_hamilton_cycle(g, cycle):
         return HamiltonicityVerdict("yes", tuple(cycle), effort)
 
     if g.n <= 20:
-        adj_masks = [sum(1 << w for w in adj_sets[v]) for v in range(g.n)]
+        adj_masks = [sum(1 << w for w in row) for row in g.neighbor_lists()]
         cyc = _held_karp(adj_masks, g.n)
-        if cyc is not None and _is_hamilton_cycle(adj_sets, cyc):
+        if cyc is not None and _is_hamilton_cycle(g, cyc):
             return HamiltonicityVerdict("yes", tuple(cyc), effort)
         return HamiltonicityVerdict("no", None, effort)
 
+    adj_sets = [set(row) for row in g.neighbor_lists()]
     start = int(g.degrees().argmin())
     cyc, completed, used = _backtrack_hc(adj_sets, g.n, start, max(0, budget - effort))
     effort += used
-    if cyc is not None and _is_hamilton_cycle(adj_sets, cyc):
+    if cyc is not None and _is_hamilton_cycle(g, cyc):
         return HamiltonicityVerdict("yes", tuple(cyc), effort)
     if completed:
         return HamiltonicityVerdict("no", None, effort)
     return HamiltonicityVerdict("unknown", None, effort)
-

@@ -351,6 +351,127 @@ def oracle_hamiltonian(n, edges):
     return rec(0, 1)
 
 
+def oracle_is_hamilton_cycle(n, edges, cycle):
+    """Set-based check that `cycle` visits every vertex once along edges."""
+    adj = _adj_sets(n, edges)
+    if cycle is None or len(cycle) != n or len(set(cycle)) != n:
+        return False
+    return all(cycle[(i + 1) % n] in adj[cycle[i]] for i in range(n))
+
+
+def oracle_posa_search(n, edges, rng, budget):
+    """The list-and-set rotation-extension search that the CSR search in
+    `properties._posa_search` replaced: neighbors in increasing order, the
+    same `rng.integers` calls, and the same (cycle or None, effort)."""
+    adj_sets = _adj_sets(n, edges)
+    adj = [sorted(row) for row in adj_sets]
+    effort = 0
+    max_restarts = 20 * n
+    rot_cap = n * n
+    for _ in range(max_restarts):
+        if effort >= budget:
+            break
+        start = int(rng.integers(n))
+        pos = [-1] * n
+        path = [start]
+        pos[start] = 0
+        out_deg = [len(adj[v]) for v in range(n)]  # neighbors outside the path
+        for x in adj[start]:
+            out_deg[x] -= 1
+        rotations = 0
+        stalled = 0
+        stall_cap = 8 * n + 64
+        while rotations < rot_cap and stalled < stall_cap and effort < budget:
+            e = path[-1]
+            effort += 1
+            fresh = [w for w in adj[e] if pos[w] < 0]
+            if fresh:
+                w = fresh[int(rng.integers(len(fresh)))]
+                pos[w] = len(path)
+                path.append(w)
+                for x in adj[w]:
+                    out_deg[x] -= 1
+                stalled = 0
+                continue
+            full = len(path) == n
+            start = path[0]
+            if start in adj_sets[e]:
+                if full:
+                    return path, effort
+                # short cycle: re-open it at a vertex with an outside neighbor
+                reroot = -1
+                for i, v in enumerate(path):
+                    if out_deg[v] > 0:
+                        reroot = i
+                        break
+                if reroot < 0:
+                    break  # the path's component is exhausted
+                path = path[reroot + 1:] + path[:reroot + 1]
+                for j, v in enumerate(path):
+                    pos[v] = j
+                rotations += 1
+                effort += 1
+                stalled = 0
+                continue
+            if full and rng.integers(2):
+                # work the other endpoint while hunting for the closing edge
+                path.reverse()
+                for j, v in enumerate(path):
+                    pos[v] = j
+                e = path[-1]
+                start = path[0]
+            last = len(path) - 1
+            goods = []
+            closing = -1
+            fallback = []
+            for u in adj[e]:
+                i = pos[u]
+                if i < 0 or i == last - 1 or i == last:
+                    continue
+                w = path[i + 1]
+                if out_deg[w] > 0:
+                    goods.append(i)
+                elif full and w in adj_sets[start]:
+                    closing = i
+                else:
+                    fallback.append(i)
+            if closing >= 0:
+                best = closing
+            elif goods:
+                best = goods[int(rng.integers(len(goods)))]
+            elif fallback:
+                best = fallback[int(rng.integers(len(fallback)))]
+            else:
+                break
+            seg = path[best + 1:]
+            seg.reverse()
+            path[best + 1:] = seg
+            for j in range(best + 1, len(path)):
+                pos[path[j]] = j
+            rotations += 1
+            effort += 1
+            stalled += 1
+    return None, effort
+
+
+def oracle_bipartite_parts(n, edges):
+    """Part sizes of a connected graph by breadth-first 2-colouring from
+    vertex 0, or None if some edge joins two vertices of one colour."""
+    adj = _adj_sets(n, edges)
+    side = [-1] * n
+    side[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if side[w] < 0:
+                side[w] = 1 - side[v]
+                queue.append(w)
+            elif side[w] == side[v]:
+                return None
+    return n - sum(side), sum(side)
+
+
 def oracle_stats(n, pvec):
     """S1, S2, S3 and the full S1t profile from feature-size expectations.
 

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +12,11 @@ from rig_lab import (
     PlanningError,
     RigInstance,
     Seed,
+    SimpleGraph,
     ValidationError,
     compare_to_limit,
     emit_outputs,
+    hamiltonicity,
     limit_probability,
     per_feature_mass,
     plan_point,
@@ -24,9 +28,11 @@ from rig_lab import (
 )
 from rig_lab.experiments import (SweepAborted, _judge, parse_law_tag, render_results_csv,
                                  render_summary_json)
+from rig_lab.graphs import graph_to_text
 from rig_lab.properties import DEFAULT_HC_BUDGET
 from rig_lab.thresholds import _scale_explicit
 from rig_lab import cli
+from conftest import random_graph
 from oracles import oracle_judge, oracle_scale_explicit
 
 
@@ -140,21 +146,36 @@ def test_sweep_determinism_and_thread_independence(tmp_path):
     emit_outputs(res2, tmp_path / "b")
     for name in ("results.csv", "summary.json", "limit_table.dat"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    for side in ("a", "b"):  # timings.csv: wall time, then per-stage totals over all trials
+    # timings.csv: wall time, per-stage totals over all trials, Hamiltonicity effort
+    for side in ("a", "b"):
         header, row = (tmp_path / side / "timings.csv").read_text().splitlines()
-        assert header == "wall_seconds,sample_seconds,project_seconds,judge_seconds"
-        wall, sample, project, judge = map(float, row.split(","))
+        assert header == "wall_seconds,sample_seconds,project_seconds,judge_seconds,hc_effort"
+        *seconds, effort = row.split(",")
+        wall, sample, project, judge = map(float, seconds)
         # connectivity is decided on the incidence, so no trial projects
-        assert sample > 0 and judge > 0 and project == 0.0
+        assert sample > 0 and judge > 0 and project == 0.0 and effort == "0"
         if side == "a":  # one process: the stages run inside the sweep's wall time
             assert sample + project + judge <= wall
     # perfect matching projects every trial that the degree bound does not rule out
     pm = run_sweep(make_config(theorem="perfect-matching", n=40, m=80, c_grid=(1.0,),
                                trials_per_point=6))
     emit_outputs(pm, tmp_path / "pm")
-    wall, *stages = map(float, (tmp_path / "pm" / "timings.csv").read_text().splitlines()[1]
-                        .split(","))
-    assert all(t > 0 for t in stages) and sum(stages) <= wall
+    *seconds, effort = (tmp_path / "pm" / "timings.csv").read_text().splitlines()[1].split(",")
+    wall, *stages = map(float, seconds)
+    assert all(t > 0 for t in stages) and sum(stages) <= wall and effort == "0"
+    # the effort column sums the Hamiltonicity checker's effort over all trials
+    hc = make_config(theorem="hamiltonicity", n=40, m=40, c_grid=(-1.0, 2.0),
+                     trials_per_point=6)
+    emit_outputs(run_sweep(hc), tmp_path / "hc")
+    expected = 0
+    for i, c in enumerate(hc.c_grid):
+        pt = plan_point(hc, c, i)
+        for t in range(hc.trials_per_point):
+            trial_seed = Seed(hc.master_seed).child(hc.experiment_id, i, t)
+            g = project_rig(sample_rig(pt.n_vertices, pt.probabilities, trial_seed.child("sample")))
+            expected += hamiltonicity(g, hc.hc_budget, trial_seed.child("hc")).effort
+    effort = (tmp_path / "hc" / "timings.csv").read_text().splitlines()[1].split(",")[-1]
+    assert expected > 0 and int(effort) == expected
 
 
 def test_sweep_consistency_assertions_hold():
@@ -276,7 +297,7 @@ def _assert_judge_matches_oracle(tags, inst, trial_seed):
             with pytest.raises(ValidationError):
                 _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
             continue
-        verdict, degree_ok, _ = _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
+        verdict, degree_ok, _, _ = _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
         assert (verdict, degree_ok) == (expected, deg >= level), (tag, inst.feature_sets)
 
 
@@ -387,6 +408,34 @@ def test_cli_check_rejects_removed_audit_flags(tmp_path, capsys, flags, rejected
     err = capsys.readouterr().err
     assert err.startswith("usage: rig-lab ") and "error: " in err and rejected in err
     assert "Traceback" not in err
+
+
+_CHECK_HC_PINS = [  # (graph, verdict, effort, sha256 of stdout) of check --property hc --seed 11
+    ("cycle(5)", "yes", 5, "f24d6d76530fd7801faea74fc58a42187d51078d78cf02c48d568f21efbde8d5"),
+    ("petersen", "no", 41800, "eaa7b2386c2dd354b4c09f4d734093a1ca6ae9bddf2aebf41140eac357023ed1"),
+    ("random(200, 0.04)", "yes", 396,
+     "73539905f8d6a748d68ecc1d0e7f8dc59f1f9d4d4e14b070109de52b80514516"),
+]
+
+
+@pytest.mark.parametrize("name, verdict, effort, digest", _CHECK_HC_PINS,
+                         ids=[pin[0] for pin in _CHECK_HC_PINS])
+def test_cli_check_hamiltonicity_output_is_pinned(tmp_path, capsys, petersen, name, verdict,
+                                                  effort, digest):
+    # verdict, certificate and effort come from the hc stream and may not change silently
+    if name == "cycle(5)":
+        g = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    elif name == "petersen":
+        g = petersen
+    else:
+        g = random_graph(np.random.default_rng(9), 200, 0.04)
+    path = tmp_path / "g.txt"
+    path.write_text(graph_to_text(g))
+    assert cli.main(["check", "--property", "hc", "--input", str(path), "--seed", "11"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["effort"]) == (verdict, effort)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cli_sweep_and_exit_codes(tmp_path, capsys):

@@ -17,17 +17,22 @@ from rig_lab import (
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
-from rig_lab.properties import (_FLOW_ARC_CAP, _augment_from, _cut_pairs, _perfect_matching,
-                                _scan_first_certificate, is_biconnected)
-from rig_lab.sampling import sample_rig
+from rig_lab.properties import (_FLOW_ARC_CAP, _augment_from, _biconnected_sides,
+                                _bipartite_parts, _cut_pairs, _is_hamilton_cycle,
+                                _perfect_matching, _posa_search, _scan_first_certificate,
+                                is_biconnected)
+from rig_lab.sampling import _as_rng, sample_rig
 from conftest import random_graph
 from oracles import (
     oracle_cut_pairs,
     oracle_flow_k_connected,
+    oracle_bipartite_parts,
     oracle_hamiltonian,
     oracle_has_perfect_matching,
     oracle_is_connected,
+    oracle_is_hamilton_cycle,
     oracle_maximum_matching,
+    oracle_posa_search,
     oracle_vertex_k_connected,
 )
 
@@ -427,3 +432,117 @@ def test_hamiltonicity_budget_exhaustion_is_unknown():
     v = hamiltonicity(g, budget=0, seed=Seed(6).child("tiny-budget"))
     assert v.verdict in ("unknown", "no")  # budget 0: only exact preconditions may answer
 
+
+
+@st.composite
+def posa_graphs(draw):
+    """Graphs with no isolated vertex, on 3 to 60 vertices: sparse near-cycles
+    with chords (some missing a cycle edge), which make the search reroot,
+    swap ends and close by rotation; disjoint near-cycles, whose components
+    the search exhausts; bipartite graphs with balanced or unbalanced parts;
+    and dense random graphs."""
+    kind = draw(st.sampled_from(["near-cycle", "pieces", "bipartite", "dense"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 60))
+    if kind == "bipartite":
+        a = draw(st.integers(1, n - 1))
+        p = draw(st.floats(0.1, 0.9))
+        edges = [(u, v) for u in range(a) for v in range(a, n) if rng.random() < p]
+    elif kind == "dense":
+        edges = random_graph(rng, n, draw(st.floats(0.2, 0.9))).edge_list()
+    else:
+        sizes = [n]
+        if kind == "pieces":
+            pieces = draw(st.integers(2, max(2, n // 3)))
+            cuts = np.sort(rng.choice(np.arange(3, n - 2), size=pieces - 1, replace=False)) \
+                if n >= 6 else np.array([], dtype=int)
+            sizes = np.diff(np.concatenate(([0], cuts, [n]))).tolist()
+        order = rng.permutation(n)
+        edges, first = [], 0
+        for size in sizes:
+            piece = order[first:first + size]
+            edges += [(piece[i], piece[(i + 1) % size]) for i in range(size)]
+            if draw(st.booleans()):  # drop one cycle edge: a path plus chords
+                edges.pop(int(rng.integers(len(edges) - size, len(edges))))
+            for _ in range(int(rng.integers(0, size // 2 + 1))):
+                u, v = rng.choice(piece, size=2)
+                edges.append((u, v))
+            first += size
+        edges = [(int(u), int(v)) for u, v in edges if u != v]
+    g = SimpleGraph(n, edges)
+    if g.degrees().min() == 0:  # the search never runs with an isolated vertex
+        g = SimpleGraph(n, g.edge_list() + [(v, (v + 1) % n) for v in range(n)
+                                            if g.degrees()[v] == 0])
+    return g
+
+
+def assert_posa_matches_oracle(g, seed, budget):
+    edges = g.edge_list()
+    got = _posa_search(g, _as_rng(seed), budget)
+    expected = oracle_posa_search(g.n, edges, _as_rng(seed), budget)
+    assert got == expected, (g.n, edges)
+    cycle = got[0]
+    assert cycle is None or oracle_is_hamilton_cycle(g.n, edges, cycle)
+
+
+@given(posa_graphs(), st.integers(0, 2**16), st.sampled_from([0, 1, 40, 500, 5000]))
+@settings(max_examples=300, deadline=None)
+def test_posa_search_matches_set_oracle(g, seed, budget):
+    # the CSR search makes the set search's draws, so cycle and effort agree
+    assert_posa_matches_oracle(g, Seed(seed).child("posa"), budget)
+
+
+def test_posa_search_matches_set_oracle_at_the_criterion_8_config():
+    config = ExperimentConfig(theorem="hamiltonicity", n=1000, m=1000, c_grid=(4.0,),
+                              trials_per_point=10, master_seed=20260811,
+                              experiment_id="accept-hc")
+    point = plan_point(config, 4.0, 0)
+    for trial in range(10):
+        trial_seed = Seed(config.master_seed).child(config.experiment_id, 0, trial)
+        g = project_rig(sample_rig(point.n_vertices, point.probabilities,
+                                   trial_seed.child("sample")))
+        assert_posa_matches_oracle(g, trial_seed.child("hc"), config.hc_budget // 2)
+
+
+def test_is_hamilton_cycle_matches_set_oracle():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        n = int(rng.integers(3, 25))
+        g = random_graph(rng, n, float(rng.uniform(0.3, 1.0)))
+        edges = g.edge_list()
+        if not edges:
+            continue
+        candidate = rng.permutation(n).tolist()
+        for cyc in (candidate, candidate[:-1], candidate[:-1] + candidate[:1],
+                    candidate[::-1]):
+            assert _is_hamilton_cycle(g, cyc) == oracle_is_hamilton_cycle(n, edges, cyc)
+    # a closed walk along edges that repeats a vertex is no Hamilton cycle
+    assert not _is_hamilton_cycle(complete(4), [0, 1, 2, 1])
+
+
+def bipartite(a, b, rng, p):
+    return SimpleGraph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)
+                               if rng.random() < p])
+
+
+def test_depth_first_parts_match_breadth_first_colouring():
+    # the depth parity of scipy's depth-first tree against a BFS 2-colouring
+    rng = np.random.default_rng(41)
+    named = [SimpleGraph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),  # K_{2,3}
+             cycle(6), cycle(7), cycle(3), path(2), complete(4)]
+    drawn = [random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.05, 0.5)))
+             for _ in range(200)]
+    for a, b in [(5, 5), (8, 8), (3, 9), (10, 4)]:
+        drawn += [bipartite(a, b, rng, p) for p in (0.3, 0.6, 1.0)]
+    seen = {None: 0, "equal": 0, "unequal": 0}
+    for g in named + drawn:
+        edges = g.edge_list()
+        biconnected, side = _biconnected_sides(g)
+        if not oracle_is_connected(g.n, edges):
+            assert not biconnected and side is None
+            continue
+        assert biconnected == (g.n >= 3 and oracle_flow_k_connected(g.n, set(edges), 2))
+        parts = _bipartite_parts(g, side)
+        assert parts == oracle_bipartite_parts(g.n, edges), edges
+        seen[None if parts is None else "equal" if parts[0] == parts[1] else "unequal"] += 1
+    assert min(seen.values()) >= 5, seen

@@ -150,6 +150,9 @@ _LAW_PINS = [  # (law, n, m, c_grid, trials, sha256 of results.csv, sha256 of su
     ("hamiltonicity", 40, 40, (-2.0, 2.0), 8,
      "a3d50b35723c24f4e94a1cd4c65c3a3517cc4a81e89040c7e660d6adfc6d4a7d",
      "18bd653db225a05beabd2fe8ef9dfc4531caff2af71f2c2550c5a62e5796a7b6"),
+    ("k-connectivity(1)", 80, 80, (-1.0, 1.0), 10,
+     "845aec982a05deadd1fce8e8eabb9341d6abf4449abc420b572928ca26cd99a6",
+     "cf23ce0909c1e9c036a1bca956c21a60c7aeff3fce408d55d4a5e6f962a7bdc1"),
     ("k-connectivity(2)", 60, 60, (-1.0, 1.0), 8,
      "9adcd53ca657c363d1789d956c732cb19244b8e56a7b913ed82179ff9cdf3000",
      "b6fbcd17aaa48a4d5eed5633da47abfbdf90af081076cfb9d8ab903dc8d41066"),
