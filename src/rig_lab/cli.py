@@ -70,7 +70,7 @@ def _load_probabilities(args, m_flag="m", p_flag="p", profile_flag="profile") ->
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
             raise ValidationError(f"profile {profile_path} needs a list of numbers, "
                                   f"bare or under a \"values\" key")
-        return FeatureProbabilities(tuple(float(v) for v in values))
+        return FeatureProbabilities(values)
     m = getattr(args, m_flag)
     p = getattr(args, p_flag)
     if m is None or p is None:
@@ -128,12 +128,11 @@ def _cmd_gen(args) -> int:
         text = graph_to_text(project_rig(inst))
     elif args.model == "independent":
         h = sample_h_independent(args.n, args.arity, args.phat, seed.child("gen", "independent"))
-        text = hypergraph_to_text(h) if args.hypergraph else graph_to_text(project_hypergraph(h))
     elif args.model == "draws":
         h = sample_g_star(args.n, args.arity, args.draws, seed.child("gen", "draws"))
-        text = hypergraph_to_text(h) if args.hypergraph else graph_to_text(project_hypergraph(h))
     else:  # poisson
         h = sample_g_star_poisson(args.n, args.arity, args.lam, seed.child("gen", "poisson"))
+    if args.model != "rig":
         text = hypergraph_to_text(h) if args.hypergraph else graph_to_text(project_hypergraph(h))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

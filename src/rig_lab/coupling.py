@@ -185,7 +185,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     rng_pad = seed.child("padding").rng()
     rng_po = seed.child("poisson").rng()
 
-    sizes = rng_sizes.binomial(n, p.as_array())
+    sizes = rng_sizes.binomial(n, p.values)
     dec = decompose_sizes(sizes)
 
     mean_pairs = (s1 - 3.0 * s3 - 5.0 * omega * sqrt_s1) / 2.0
@@ -201,7 +201,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     pairs = pair_stream[:dec.pair_draws]
     triples = triple_stream[:dec.triple_draws]
     members, draw_keys = _rebuild(n, np.array(dec.active_sizes, dtype=np.int64), pairs, triples, rng_pad)
-    rig = project_rig(RigInstance._from_arrays(n, p.m, *_sorted_rows(members, n, p.m)))
+    rig = project_rig(RigInstance._wrap(n, p.m, *_sorted_rows(members, n, p.m)))
     tails, heads = rig.arcs()
     rig_edges = (tails * n + heads)[tails < heads]  # sorted: CSR rows in order
     prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
@@ -278,7 +278,7 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     rng_sizes = seed.child("sizes").rng()
     rng_draws = seed.child("coupons").rng()
 
-    sizes = rng_sizes.binomial(n, p.as_array())
+    sizes = rng_sizes.binomial(n, p.values)
     dec = decompose_sizes(sizes)
 
     seen_global = bytearray(n)
@@ -369,46 +369,34 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
     independent-hyperedge model with per-hyperedge probability
     1 - exp(-lam / C(n, arity)) exactly; the test compares hyperedge-count
     histograms and per-hyperedge frequencies (reported as the largest
-    z-score against the closed-form probability).
+    z-score against the closed-form probability, for universes of at most
+    200k subsets).
     """
     if trials < 1000:
         raise ValidationError(f"need at least 1000 trials, got {trials}")
     total = math.comb(n, arity)
     q = -math.expm1(-lam / total) if total > 0 else 0.0
-    counts_a: dict[int, int] = {}
-    counts_b: dict[int, int] = {}
-    freq_a: dict[tuple[int, ...], int] = {}
-    freq_b: dict[tuple[int, ...], int] = {}
+    sigma = math.sqrt(q * (1.0 - q) / trials) if 0.0 < q < 1.0 else float("inf")
+    scored = sigma != float("inf") and total <= 200_000
+    counts = np.zeros((2, trials), dtype=np.int64)
+    # per-subset frequencies by colex rank; ranks within one sample are distinct
+    freq = np.zeros((2, total if scored else 0), dtype=np.int64)
     rng_a = seed.child("poissonized").rng()
     rng_b = seed.child("independent").rng()
-    sum_a = 0
-    sum_b = 0
-    for _ in range(trials):
+    for t in range(trials):
         ha = sample_g_star_poisson(n, arity, lam, rng_a)
         hb = sample_h_independent(n, arity, q, rng_b)
-        ka, kb = len(ha.hyperedges), len(hb.hyperedges)
-        counts_a[ka] = counts_a.get(ka, 0) + 1
-        counts_b[kb] = counts_b.get(kb, 0) + 1
-        sum_a += ka
-        sum_b += kb
-        for he in ha.hyperedges:
-            freq_a[he] = freq_a.get(he, 0) + 1
-        for he in hb.hyperedges:
-            freq_b[he] = freq_b.get(he, 0) + 1
+        counts[:, t] = len(ha.ranks), len(hb.ranks)
+        if scored:
+            freq[0, ha.ranks] += 1
+            freq[1, hb.ranks] += 1
 
-    hist = {k: (counts_a.get(k, 0), counts_b.get(k, 0))
-            for k in sorted(set(counts_a) | set(counts_b))}
+    width = int(counts.max()) + 1
+    bins_a, bins_b = (np.bincount(c, minlength=width).tolist() for c in counts)
+    hist = {k: (a, b) for k, (a, b) in enumerate(zip(bins_a, bins_b)) if a or b}
     chi2, dof, p_value = _chi2_homogeneity(hist)
-    sigma = math.sqrt(q * (1.0 - q) / trials) if 0.0 < q < 1.0 else float("inf")
-
-    def max_z(freq: dict) -> float:
-        # z-scores are reported for universes of at most 200k subsets; every
-        # absent hyperedge has frequency 0, so together they add the one term q/sigma
-        if sigma == float("inf") or total > 200_000:
-            return 0.0
-        worst = max((abs(count / trials - q) / sigma for count in freq.values()), default=0.0)
-        return max(worst, q / sigma) if len(freq) < total else worst
-
+    z = [float((np.abs(f / trials - q) / sigma).max()) if scored else 0.0 for f in freq]
+    means = (counts.sum(axis=1) / trials).tolist()
     return PoissonizationReport(
         trials=trials,
         expected_probability=q,
@@ -417,10 +405,10 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
         p_value=p_value,
         reject=p_value < alpha,
         alpha=alpha,
-        max_abs_z_draws=max_z(freq_a),
-        max_abs_z_independent=max_z(freq_b),
-        mean_count_draws=sum_a / trials,
-        mean_count_independent=sum_b / trials,
+        max_abs_z_draws=z[0],
+        max_abs_z_independent=z[1],
+        mean_count_draws=means[0],
+        mean_count_independent=means[1],
         histogram=hist,
     )
 

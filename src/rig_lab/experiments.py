@@ -22,7 +22,7 @@ import numbers
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ from .errors import OutOfRangeError, PlanningError, ValidationError
 from .graphs import RigInstance, project_rig
 from .properties import (
     DEFAULT_HC_BUDGET,
+    _is_hamilton_cycle,
     hamiltonicity,
-    is_biconnected,
     is_k_connected,
     has_perfect_matching,
     min_degree,
@@ -393,8 +393,9 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
             raise AssertionError("perfect matching with an isolated vertex")
     elif name in ("hamiltonicity", "hamiltonicity-refined"):
         result = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc"))
-        if result.verdict == "yes" and not (degree_ok and is_biconnected(g)):
-            raise AssertionError("Hamiltonian graph that is not 2-connected")
+        cycle = result.certificate  # a Hamilton cycle makes g 2-connected
+        if result.verdict == "yes" and not (degree_ok and cycle and _is_hamilton_cycle(g, cycle)):
+            raise AssertionError("Hamiltonian graph that is not 2-connected, or no Hamilton cycle")
         return result.verdict, degree_ok, result.effort, project_seconds
     elif name == "min-degree-refined":
         ok = degree_ok
@@ -556,23 +557,7 @@ def render_summary_json(result: SweepResult) -> str:
     doc = {
         "manifest": result.config.manifest(),
         "comparison": compare_to_limit(result),
-        "points": [
-            {
-                "c": s.c,
-                "trials": s.trials,
-                "yes": s.yes,
-                "no": s.no,
-                "unknown": s.unknown,
-                "frequency": s.frequency,
-                "wilson_low": s.wilson_low,
-                "wilson_high": s.wilson_high,
-                "predicted": s.predicted,
-                "unknown_rate": s.unknown_rate,
-                "a_n": s.a_n,
-                "min_degree_ok_frequency": s.min_degree_ok_frequency,
-            }
-            for s in result.summaries
-        ],
+        "points": [asdict(s) for s in result.summaries],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

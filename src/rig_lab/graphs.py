@@ -9,18 +9,19 @@ one array of sorted member rows, and projected by sorting the keys
 ``u * n + v`` of all clique pairs, one feature size at a time.  The
 constructors and the projection build rows with ``_sorted_rows``: sort
 integer keys ``row * width + column``, mask repeats, and cut the rows by
-``searchsorted``.  All types are frozen; operations return new values.
+``searchsorted``.  A UniformHypergraph is the sorted colex ranks of its
+hyperedges.  All types are frozen and pickle; operations return new values.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from .errors import ValidationError
+from .errors import UnsupportedArity, ValidationError
 
 Edge = tuple[int, int]
 
@@ -37,8 +38,18 @@ class _ArrayValue:
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _wrap(cls, *values):
+        """A value holding ``values``, one per slot in order, unchecked."""
+        value = cls.__new__(cls)
+        value._set_fields(**dict(zip(cls.__slots__, values)))
+        return value
+
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return self._wrap, self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name}")
@@ -66,6 +77,25 @@ def _sorted_rows(keys: np.ndarray, width: int, rows: int) -> tuple[np.ndarray, n
     keys = _unique_keys(keys)
     return (np.searchsorted(keys, np.arange(rows + 1, dtype=keys.dtype) * width),
             (keys % max(width, 1)).astype(np.int64, copy=False))
+
+
+def _vertex_rows(collections, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, vertices) of an iterable of vertex collections: the size of each,
+    and all their members in order as one int64 array of integers in range(n)."""
+    try:
+        rows = [list(s) for s in collections]
+        flat = np.array(list(itertools.chain.from_iterable(rows)))
+    except (TypeError, ValueError):
+        raise ValidationError(f"each {what} must be a collection of vertices") from None
+    if flat.size and (flat.dtype.kind not in "iu" or flat.ndim != 1):
+        raise ValidationError(f"{what} members must be integers")
+    sizes = np.array([len(row) for row in rows], dtype=np.int64)
+    outside = (flat < 0) | (flat >= n)
+    if outside.any():
+        i = outside.argmax()
+        owner = np.searchsorted(np.cumsum(sizes), i, side="right")
+        raise ValidationError(f"{what} {owner} contains out-of-range vertex {flat[i]}")
+    return sizes, flat.astype(np.int64)
 
 
 class SimpleGraph(_ArrayValue):
@@ -96,10 +126,7 @@ class SimpleGraph(_ArrayValue):
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray) -> "SimpleGraph":
         """Graph of arc keys ``u * n + v``: both orientations, no loops, any order."""
-        g = cls.__new__(cls)
-        indptr, indices = _sorted_rows(keys, n, n)
-        g._set_fields(n=n, indptr=indptr, indices=indices)
-        return g
+        return cls._wrap(n, *_sorted_rows(keys, n, n))
 
     def edge_count(self) -> int:
         return len(self.indices) // 2
@@ -128,32 +155,6 @@ class SimpleGraph(_ArrayValue):
                          shape=(self.n, self.n))
 
 
-@dataclass(frozen=True)
-class UniformHypergraph:
-    """Hypergraph whose hyperedges all have exactly `arity` vertices.
-
-    Hyperedges are stored as sorted tuples; duplicated draws collapse to
-    a single hyperedge.
-    """
-
-    n: int
-    arity: int
-    hyperedges: frozenset[tuple[int, ...]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValidationError(f"vertex count must be nonnegative, got {self.n}")
-        if self.arity < 2:
-            raise ValidationError(f"arity must be at least 2, got {self.arity}")
-        canon = frozenset(tuple(sorted(h)) for h in self.hyperedges)
-        object.__setattr__(self, "hyperedges", canon)
-        for h in canon:
-            if len(set(h)) != self.arity:
-                raise ValidationError(f"hyperedge {h} does not have {self.arity} distinct vertices")
-            if h[0] < 0 or h[-1] >= self.n:
-                raise ValidationError(f"hyperedge {h} out of range for n={self.n}")
-
-
 class RigInstance(_ArrayValue):
     """Vertex-feature incidence: feature i is held by the vertices
     ``members[indptr[i]:indptr[i + 1]]``, a sorted, duplicate-free row.
@@ -168,35 +169,113 @@ class RigInstance(_ArrayValue):
     def __init__(self, n: int, m: int, feature_sets):
         if n < 0 or m < 0:
             raise ValidationError("vertex and feature counts must be nonnegative")
-        try:
-            rows = [list(s) for s in feature_sets]
-        except TypeError:
-            raise ValidationError("feature sets must be collections of vertices") from None
-        if len(rows) != m:
-            raise ValidationError(f"expected {m} feature sets, got {len(rows)}")
-        flat = np.array(list(itertools.chain.from_iterable(rows)))
-        if flat.size and (flat.dtype.kind not in "iu" or flat.ndim != 1):
-            raise ValidationError("feature members must be integers")
-        owners = np.repeat(np.arange(m), [len(row) for row in rows])
-        outside = (flat < 0) | (flat >= n)
-        if outside.any():
-            i = outside.argmax()
-            raise ValidationError(f"feature {owners[i]} contains out-of-range vertex {flat[i]}")
-        indptr, members = _sorted_rows(owners * n + flat.astype(np.int64), n, m)
+        sizes, flat = _vertex_rows(feature_sets, n, "feature")
+        if len(sizes) != m:
+            raise ValidationError(f"expected {m} feature sets, got {len(sizes)}")
+        indptr, members = _sorted_rows(np.repeat(np.arange(m), sizes) * n + flat, n, m)
         self._set_fields(n=n, m=m, indptr=indptr, members=members)
-
-    @classmethod
-    def _from_arrays(cls, n: int, m: int, indptr: np.ndarray, members: np.ndarray) -> "RigInstance":
-        """Wrap int64 arrays that already hold sorted, duplicate-free, in-range rows."""
-        r = cls.__new__(cls)
-        r._set_fields(n=n, m=m, indptr=indptr, members=members)
-        return r
 
     @property
     def feature_sets(self) -> tuple[frozenset[int], ...]:
         """The vertex set of each feature, derived from the arrays."""
         ptr, flat = self.indptr.tolist(), self.members.tolist()
         return tuple(frozenset(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+
+# --- i-subsets by colex rank sum_j C(v_j, j) of v_1 < ... < v_i -------------
+#
+# Ranks are int64, so C(n, i) must stay below 2**63: n up to 2**32 at arity
+# 2 and 3,810,779 at arity 3.
+
+
+def _universe(n: int, arity: int) -> int:
+    """C(n, arity), the number of subsets that int64 ranks can name."""
+    if arity not in (2, 3):
+        raise UnsupportedArity(f"arity {arity} not supported (choose from (2, 3))")
+    total = math.comb(n, arity) if n >= 0 else 0
+    if total >= 2**63:
+        raise ValidationError(f"C({n}, {arity}) subsets exceed the int64 ranks")
+    return total
+
+
+def _comb(v: np.ndarray, j: int) -> np.ndarray:
+    """C(v, j) for j in {2, 3}, elementwise, exact while C(v, j) < 2**63:
+    v(v - 1) is formed in uint64 (v <= 2**32), and C(v, 3) as
+    q(v - 2) + s(v - 2)/3 with C(v, 2) = 3q + s, so no product exceeds it."""
+    u = v.view(np.uint64)
+    c2 = ((u * (u - 1)) >> 1).view(np.int64)
+    if j == 2:
+        return c2
+    q, s = np.divmod(c2, 3)
+    return q * (v - 2) + s * (v - 2) // 3
+
+
+def _max_comb_le(r: np.ndarray, j: int, hi) -> np.ndarray:
+    """Largest v <= hi with C(v, j) <= r, elementwise, for r < C(hi + 1, j).
+
+    The float guess is within one of v: floor(sqrt(2r + 1/4) + 1/2) is v in
+    real arithmetic, and cbrt(6r) + 1 lies in (v - 1, v].  One exact step
+    up and one down correct it.
+    """
+    guess = np.sqrt(2.0 * r + 0.25) + 0.5 if j == 2 else np.cbrt(6.0 * r) + 1.0
+    v = np.minimum(guess.astype(np.int64), hi)
+    v += _comb(v + 1, j) <= r
+    return v - (_comb(v, j) > r)
+
+
+def unrank_subsets(ranks: np.ndarray, n: int, arity: int) -> np.ndarray:
+    """The ``(len(ranks), arity)`` ascending vertex rows with the given colex
+    ranks, each below C(n, arity) < 2**63."""
+    r = np.asarray(ranks, dtype=np.int64)
+    rows = np.empty((len(r), arity), dtype=np.int64)
+    hi = n - 1
+    for j in range(arity, 1, -1):
+        v = _max_comb_le(r, j, hi)
+        rows[:, j - 1] = v
+        r, hi = r - _comb(v, j), v - 1
+    rows[:, 0] = r
+    return rows
+
+
+def rank_subsets(rows: np.ndarray) -> np.ndarray:
+    """The colex ranks of ascending int64 vertex rows of width 2 or 3, the
+    inverse of ``unrank_subsets``."""
+    return rows[:, 0] + sum(_comb(rows[:, j - 1], j) for j in range(2, rows.shape[1] + 1))
+
+
+class UniformHypergraph(_ArrayValue):
+    """Hypergraph on vertices {0, ..., n-1} whose hyperedges all have exactly
+    `arity` vertices, for arity 2 or 3.
+
+    Built from any iterable of vertex collections; repeated hyperedges
+    collapse to one.  Stored once, as ``ranks``: the sorted, distinct colex
+    ranks of the hyperedges (read-only int64).  ``rows()`` unranks them.
+    """
+
+    __slots__ = ("n", "arity", "ranks")
+
+    def __init__(self, n: int, arity: int, hyperedges=()):
+        if n < 0:
+            raise ValidationError(f"vertex count must be nonnegative, got {n}")
+        _universe(n, arity)
+        sizes, flat = _vertex_rows(hyperedges, n, "hyperedge")
+        if (sizes != arity).any():
+            bad = (sizes != arity).argmax()
+            raise ValidationError(f"hyperedge {bad} does not have {arity} vertices")
+        edges = np.sort(flat.reshape(-1, arity), axis=1)
+        repeats = (edges[:, 1:] == edges[:, :-1]).any(axis=1)
+        if repeats.any():
+            raise ValidationError(f"hyperedge {repeats.argmax()} repeats a vertex")
+        self._set_fields(n=n, arity=arity, ranks=_unique_keys(rank_subsets(edges)))
+
+    @classmethod
+    def _from_ranks(cls, n: int, arity: int, ranks: np.ndarray) -> "UniformHypergraph":
+        """Hypergraph of int64 colex ranks below C(n, arity), in any order, repeats allowed."""
+        return cls._wrap(n, arity, _unique_keys(ranks))
+
+    def rows(self) -> np.ndarray:
+        """The hyperedges as ascending vertex rows, in rank order."""
+        return unrank_subsets(self.ranks, self.n, self.arity)
 
 
 _KEY_CAP = 1 << 19  # pending clique-pair keys past which projection folds them
@@ -225,7 +304,7 @@ def _clique_union(n: int, indptr: np.ndarray, members: np.ndarray) -> SimpleGrap
 
 def project_hypergraph(h: UniformHypergraph) -> SimpleGraph:
     """Graph whose edges are the pairs covered by at least one hyperedge."""
-    members = np.array(list(h.hyperedges), dtype=np.int64).reshape(-1)
+    members = h.rows().reshape(-1)
     return _clique_union(h.n, np.arange(0, len(members) + 1, h.arity), members)
 
 
@@ -278,8 +357,10 @@ def graph_from_text(text: str) -> SimpleGraph:
 
 
 def hypergraph_to_text(h: UniformHypergraph) -> str:
-    lines = [f"{h.n} {h.arity} {len(h.hyperedges)}"]
-    lines.extend(" ".join(str(v) for v in he) for he in sorted(h.hyperedges))
+    rows = h.rows()
+    lines = [f"{h.n} {h.arity} {len(rows)}"]
+    lexicographic = rows[np.lexsort(rows.T[::-1])].tolist()
+    lines.extend(" ".join(map(str, he)) for he in lexicographic)
     return "\n".join(lines) + "\n"
 
 
@@ -290,9 +371,7 @@ def hypergraph_from_text(text: str) -> UniformHypergraph:
     n, arity, count = _int_row(rows[0], 3, "hypergraph header")
     if len(rows) - 1 != count:
         raise ValidationError(f"header promises {count} hyperedges, found {len(rows) - 1}")
-    hes = [tuple(_int_row(ln, arity, "hyperedge line")) for ln in rows[1:]]
-    h = UniformHypergraph(n, arity, frozenset(hes))
-    if len(h.hyperedges) != count:
-        raise ValidationError(f"header promises {count} hyperedges, "
-                              f"found {len(h.hyperedges)} distinct")
+    h = UniformHypergraph(n, arity, [_int_row(ln, arity, "hyperedge line") for ln in rows[1:]])
+    if len(h.ranks) != count:
+        raise ValidationError(f"header promises {count} hyperedges, found {len(h.ranks)} distinct")
     return h

@@ -13,8 +13,8 @@ Models:
                                of draws; distributed exactly as
                                ``sample_h_independent(n, i, 1 - exp(-lam/C(n,i)))``.
 
-``draw_subsets`` unranks the colex ranks of one ``rng.integers`` call in
-one vectorized pass, to a ``(count, i)`` int64 array of ascending rows.
+``draw_ranks`` draws colex ranks with one ``rng.integers`` call; the
+hypergraphs keep them, and ``draw_subsets`` unranks them to ascending rows.
 
 The ``sample_rig`` stream, in order: one ``rng.binomial(n, p)`` call for
 the m member counts k_i, then one block of uniforms in feature order, k_i
@@ -39,39 +39,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedArity, ValidationError
-from .graphs import RigInstance, UniformHypergraph
-
-SUPPORTED_ARITIES = (2, 3)
+from .errors import ValidationError
+from .graphs import RigInstance, UniformHypergraph, _ArrayValue, _universe, unrank_subsets
 
 
-@dataclass(frozen=True)
-class FeatureProbabilities:
-    """The probability vector driving feature selection; every entry in (0, 1)."""
+class FeatureProbabilities(_ArrayValue):
+    """The probability vector driving feature selection: ``values`` is one
+    read-only float64 array of m >= 1 entries, each strictly inside (0, 1)."""
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 1:
-            raise ValidationError("need at least one feature probability")
-        for i, v in enumerate(vals):
-            if not (0.0 < v < 1.0) or math.isnan(v):
-                raise ValidationError(f"p[{i}]={v} is not strictly inside (0, 1)")
+    def __init__(self, values):
+        try:
+            vals = np.array(values, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError("feature probabilities must be numbers") from None
+        if vals.ndim != 1 or len(vals) < 1:
+            raise ValidationError(f"need a nonempty vector of probabilities, got shape {vals.shape}")
+        outside = ~((0.0 < vals) & (vals < 1.0))  # NaN fails both comparisons
+        if outside.any():
+            i = int(outside.argmax())
+            raise ValidationError(f"p[{i}]={float(vals[i])} is not strictly inside (0, 1)")
+        self._set_fields(values=vals)
 
     @classmethod
     def homogeneous(cls, m: int, p: float) -> "FeatureProbabilities":
         if m < 1:
             raise ValidationError(f"feature count must be positive, got {m}")
-        return cls((p,) * m)
+        return cls(np.full(m, p, dtype=np.float64))
 
     @property
     def m(self) -> int:
         return len(self.values)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
 
 
 def _encode_label(label) -> int:
@@ -192,66 +191,27 @@ def sample_rig(n: int, p: FeatureProbabilities, seed) -> RigInstance:
     if n < 1:
         raise ValidationError(f"vertex count must be positive, got {n}")
     rng = _as_rng(seed)
-    counts = rng.binomial(n, p.as_array())
+    counts = rng.binomial(n, p.values)
     indptr, members = _floyd_rows(counts, np.full(p.m, n), rng)
-    return RigInstance._from_arrays(n, p.m, indptr, members)
+    return RigInstance._wrap(n, p.m, indptr, members)
 
 
-# --- i-subset draws, by colex rank sum_j C(v_j, j) of v_1 < ... < v_i -------
-#
-# Ranks are int64, so C(n, i) must stay below 2**63: n up to 2**32 at arity
-# 2 and 3,810,779 at arity 3.  MAX_DRAWS caps one request's draws (or
-# expected hyperedges): 10**7 triples are a 240 MB array.
+# MAX_DRAWS caps one request's draws (or expected hyperedges): 10**7 triples
+# are a 240 MB array.
 MAX_DRAWS = 10_000_000
 
 
-def _comb(v: np.ndarray, j: int) -> np.ndarray:
-    """C(v, j) for j in {2, 3}, elementwise, exact while C(v, j) < 2**63:
-    v(v - 1) is formed in uint64 (v <= 2**32), and C(v, 3) as
-    q(v - 2) + s(v - 2)/3 with C(v, 2) = 3q + s, so no product exceeds it."""
-    u = v.view(np.uint64)
-    c2 = ((u * (u - 1)) >> 1).view(np.int64)
-    if j == 2:
-        return c2
-    q, s = np.divmod(c2, 3)
-    return q * (v - 2) + s * (v - 2) // 3
-
-
-def _max_comb_le(r: np.ndarray, j: int, hi) -> np.ndarray:
-    """Largest v <= hi with C(v, j) <= r, elementwise, for r < C(hi + 1, j).
-
-    The float guess is within one of v: floor(sqrt(2r + 1/4) + 1/2) is v in
-    real arithmetic, and cbrt(6r) + 1 lies in (v - 1, v].  One exact step
-    up and one down correct it.
-    """
-    guess = np.sqrt(2.0 * r + 0.25) + 0.5 if j == 2 else np.cbrt(6.0 * r) + 1.0
-    v = np.minimum(guess.astype(np.int64), hi)
-    v += _comb(v + 1, j) <= r
-    return v - (_comb(v, j) > r)
-
-
-def unrank_subsets(ranks: np.ndarray, n: int, arity: int) -> np.ndarray:
-    """The ``(len(ranks), arity)`` ascending vertex rows with the given colex
-    ranks, each below C(n, arity) < 2**63."""
-    r = np.asarray(ranks, dtype=np.int64)
-    rows = np.empty((len(r), arity), dtype=np.int64)
-    hi = n - 1
-    for j in range(arity, 1, -1):
-        v = _max_comb_le(r, j, hi)
-        rows[:, j - 1] = v
-        r, hi = r - _comb(v, j), v - 1
-    rows[:, 0] = r
-    return rows
-
-
-def _universe(n: int, arity: int) -> int:
-    """C(n, arity), the number of subsets that int64 ranks can name."""
-    if arity not in SUPPORTED_ARITIES:
-        raise UnsupportedArity(f"arity {arity} not supported (choose from {SUPPORTED_ARITIES})")
-    total = math.comb(n, arity) if n >= 0 else 0
-    if total >= 2**63:
-        raise ValidationError(f"C({n}, {arity}) subsets exceed the int64 ranks")
-    return total
+def draw_ranks(n: int, arity: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """The colex ranks of `count` independent uniform i-subsets (with
+    repetition), in draw order, from one ``rng.integers`` call."""
+    total = _universe(n, arity)
+    if not 0 <= count <= MAX_DRAWS:
+        raise ValidationError(f"draw count must lie in [0, {MAX_DRAWS}] (the draw limit), got {count}")
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    if n < arity:
+        raise ValidationError(f"need at least {arity} vertices, got {n}")
+    return rng.integers(0, total, size=count)
 
 
 def draw_subsets(n: int, arity: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -261,24 +221,13 @@ def draw_subsets(n: int, arity: int, count: int, rng: np.random.Generator) -> np
     This is the shared draw stream used by the coupling constructions: a
     prefix of the rows is distributed as a shorter run of draws.
     """
-    total = _universe(n, arity)
-    if not 0 <= count <= MAX_DRAWS:
-        raise ValidationError(f"draw count must lie in [0, {MAX_DRAWS}] (the draw limit), got {count}")
-    if count == 0:
-        return np.empty((0, arity), dtype=np.int64)
-    if n < arity:
-        raise ValidationError(f"need at least {arity} vertices, got {n}")
-    return unrank_subsets(rng.integers(0, total, size=count), n, arity)
-
-
-def _hypergraph(n: int, arity: int, rows: np.ndarray) -> UniformHypergraph:
-    return UniformHypergraph(n, arity, frozenset(map(tuple, rows.tolist())))
+    return unrank_subsets(draw_ranks(n, arity, count, rng), n, arity)
 
 
 def sample_g_star(n: int, arity: int, draws: int, seed) -> UniformHypergraph:
     """Hypergraph from `draws` uniform i-subset draws with repetition, deduplicated."""
     rng = _as_rng(seed)
-    return _hypergraph(n, arity, draw_subsets(n, arity, draws, rng))
+    return UniformHypergraph._from_ranks(n, arity, draw_ranks(n, arity, draws, rng))
 
 
 def sample_g_star_poisson(n: int, arity: int, lam: float, seed) -> UniformHypergraph:
@@ -286,8 +235,7 @@ def sample_g_star_poisson(n: int, arity: int, lam: float, seed) -> UniformHyperg
     if not 0 <= lam <= MAX_DRAWS:
         raise ValidationError(f"lambda must lie in [0, {MAX_DRAWS}] (the draw limit), got {lam}")
     rng = _as_rng(seed)
-    draws = int(rng.poisson(lam))
-    return _hypergraph(n, arity, draw_subsets(n, arity, draws, rng))
+    return sample_g_star(n, arity, int(rng.poisson(lam)), rng)
 
 
 def _bernoulli_hit_ranks(total: int, phat: float, rng: np.random.Generator) -> np.ndarray:
@@ -323,6 +271,6 @@ def sample_h_independent(n: int, arity: int, phat: float, seed) -> UniformHyperg
     if total * phat > MAX_DRAWS:
         raise ValidationError(f"{total * phat:.3g} expected hyperedges exceed the draw limit")
     if n < arity:
-        return UniformHypergraph(n, arity, frozenset())
+        return UniformHypergraph(n, arity)
     rng = _as_rng(seed)
-    return _hypergraph(n, arity, unrank_subsets(_bernoulli_hit_ranks(total, phat, rng), n, arity))
+    return UniformHypergraph._from_ranks(n, arity, _bernoulli_hit_ranks(total, phat, rng))

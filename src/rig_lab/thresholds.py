@@ -118,7 +118,7 @@ def summary_stats(n: int, p: FeatureProbabilities, t_max: int | None = None) -> 
         t_max = min(n, DEFAULT_T_MAX)
     if not (2 <= t_max <= n):
         raise ValidationError(f"t_max must lie in [2, {n}], got {t_max}")
-    arr = p.as_array()
+    arr = p.values
     np_i = n * arr
     q_pow = _pow_1m_p(arr, n - 1)                     # (1-p)^(n-1)
     one_m_w = _one_minus_pow_1m_2p(arr, n)            # 1 - (1-2p)^n
@@ -280,7 +280,7 @@ def _scale_explicit(n: int, base: tuple[float, ...], s1_target: float) -> Featur
     if resid > 1e-8:
         raise OutOfRangeError(
             f"profile scaling residual {resid:.2e} exceeds 1e-8 for S1 target {s1_target}")
-    return FeatureProbabilities(tuple(probs.tolist()))
+    return FeatureProbabilities(probs)
 
 
 def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:

@@ -641,7 +641,7 @@ def oracle_run_coupling_trial(n, p, omega, seed):
     rng_pad = seed.child("padding").rng()
     rng_po = seed.child("poisson").rng()
 
-    dec = decompose_sizes(rng_sizes.binomial(n, p.as_array()))
+    dec = decompose_sizes(rng_sizes.binomial(n, p.values))
     mean_pairs = (s1 - 3.0 * s3 - 5.0 * omega * sqrt_s1) / 2.0
     mean_triples = s3 - 2.0 * omega * sqrt_s1
     poisson_pairs = int(rng_po.poisson(max(0.0, mean_pairs)))

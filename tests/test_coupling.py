@@ -102,7 +102,7 @@ def test_per_feature_union_distribution_matches_direct_sampling():
         inst = sample_rig(n, p, seed.child("direct", t))
         direct[frozenset(project_rig(inst).edge_list())] += 1
         rng = seed.child("coupled", t).rng()
-        sizes = rng.binomial(n, p.as_array())
+        sizes = rng.binomial(n, p.values)
         dec = decompose_sizes(sizes)
         edges = set()
         for y, z in zip(dec.active_sizes, dec.odd_flags):
@@ -324,7 +324,7 @@ def _brute_force_max_z(n, arity, lam, trials, seed):
         rng = seed.child(label).rng()
         freq = Counter()
         for _ in range(trials):
-            freq.update(sample(rng).hyperedges)
+            freq.update(map(tuple, sample(rng).rows().tolist()))
         subsets = list(itertools.combinations(range(n), arity))
         out.append((max(abs(freq[s] / trials - q) / sigma for s in subsets),
                     sum(1 for s in subsets if s not in freq)))

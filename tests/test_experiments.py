@@ -341,7 +341,7 @@ def test_judge_matches_projection_oracle_on_sweep_trials(law, n, m, c_grid, prof
             _assert_judge_matches_oracle((law,), inst, trial_seed)
 
 
-def test_judge_consistency_assertions_still_raise(monkeypatch):
+def test_judge_consistency_assertions_still_raise(monkeypatch, petersen):
     import rig_lab.experiments as exp
 
     spec, k = parse_law_tag("connectivity")
@@ -359,6 +359,11 @@ def test_judge_consistency_assertions_still_raise(monkeypatch):
                         lambda g, budget, seed: HamiltonicityVerdict("yes", None, 0))
     with pytest.raises(AssertionError, match="not 2-connected"):
         exp._judge(spec, k, RigInstance(5, 2, [{0, 1, 2}, {2, 3, 4}]), 0, Seed(1))
+    # the Petersen graph is 3-connected, but 0, 1, ..., 9 is no Hamilton cycle of it
+    monkeypatch.setattr(exp, "hamiltonicity",
+                        lambda g, budget, seed: HamiltonicityVerdict("yes", tuple(range(10)), 0))
+    with pytest.raises(AssertionError, match="not 2-connected"):
+        exp._judge(spec, k, RigInstance(10, 15, petersen.edge_list()), 0, Seed(1))
 
 
 def test_wilson_interval_contains_point_estimate():
@@ -558,5 +563,5 @@ def test_scale_explicit_matches_per_step_profiles(base, clipped):
     n = 2000
     s1_target = n * (math.log(n) + 1.0)
     planned = _scale_explicit(n, tuple(base), s1_target)
-    assert planned.values == oracle_scale_explicit(n, tuple(base), s1_target).values
-    assert planned.values.count(1.0 - 1e-12) == clipped
+    assert planned == oracle_scale_explicit(n, tuple(base), s1_target)
+    assert planned.values.tolist().count(1.0 - 1e-12) == clipped

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rig_lab import (
+    FeatureProbabilities,
     RigInstance,
     SimpleGraph,
     UniformHypergraph,
@@ -43,6 +45,16 @@ def test_invalid_edges_rejected():
         SimpleGraph(3, [(0, 1), (-1, 2)])
     with pytest.raises(ValidationError):
         UniformHypergraph(4, 3, frozenset({(0, 1)}))
+
+
+def test_values_pickle_to_equal_read_only_values():
+    values = (SimpleGraph(3, [(0, 1)]), RigInstance(4, 2, [{0, 3}, {1}]),
+              UniformHypergraph(6, 3, [(3, 4, 5), (0, 1, 2)]), FeatureProbabilities([0.25, 0.5]))
+    for value in values:
+        loaded = pickle.loads(pickle.dumps(value))
+        assert type(loaded) is type(value) and loaded == value and hash(loaded) == hash(value)
+        arrays = [f for f in loaded._fields() if isinstance(f, np.ndarray)]
+        assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_project_hypergraph_examples():
@@ -137,8 +149,11 @@ def test_hypergraph_projection_matches_sparse_product(data):
     arity = data.draw(st.sampled_from((2, 3)))
     n = data.draw(st.integers(arity, 9))
     edge = st.sets(st.integers(0, n - 1), min_size=arity, max_size=arity).map(tuple)
-    h = UniformHypergraph(n, arity, frozenset(data.draw(st.lists(edge, max_size=12))))
-    members = np.array(sorted(h.hyperedges), dtype=np.int64).reshape(-1)
+    drawn = data.draw(st.lists(edge, max_size=12))
+    h = UniformHypergraph(n, arity, drawn)
+    distinct = sorted({tuple(sorted(e)) for e in drawn})
+    assert sorted(map(tuple, h.rows().tolist())) == distinct
+    members = np.array(distinct, dtype=np.int64).reshape(-1)
     indptr = np.arange(0, len(members) + 1, arity)
     assert project_hypergraph(h) == oracle_clique_union(n, indptr, members)
 
@@ -176,7 +191,8 @@ def test_arity2_projection_is_bijective(data):
     pairs = data.draw(st.sets(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda t: t[0] < t[1])))
     h = UniformHypergraph(n, 2, frozenset(pairs))
-    assert set(project_hypergraph(h).edge_list()) == h.hyperedges
+    assert set(map(tuple, h.rows().tolist())) == pairs
+    assert set(project_hypergraph(h).edge_list()) == pairs
 
 
 @given(st.data())
@@ -203,6 +219,9 @@ def test_hypergraph_text_round_trip():
     text = hypergraph_to_text(h)
     assert text.splitlines()[0] == "6 3 2"
     assert hypergraph_from_text(text) == h
+    # colex rank order puts (0, 2, 3) before (0, 1, 4); the text is lexicographic
+    h = UniformHypergraph(5, 3, [(1, 2, 3), (0, 2, 3), (4, 1, 0)])
+    assert hypergraph_to_text(h).splitlines() == ["5 3 3", "0 1 4", "0 2 3", "1 2 3"]
 
 
 def test_edge_list_rejects_malformed():

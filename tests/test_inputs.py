@@ -1,6 +1,6 @@
 """Fuzzing of the input boundary.
 
-The parsers and the RigInstance constructor raise only ValidationError on
+The parsers and the value constructors raise only ValidationError on
 malformed input, and ``rig-lab`` exits 0 or 2 on any edge-list or config
 document, without a traceback.  Sizes inside the documents stay small
 (n, draws, trials and lambda of at most a few dozen), so every accepted
@@ -18,11 +18,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import math
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rig_lab
-from rig_lab import RigInstance, ValidationError, cli, graph_from_text, hypergraph_from_text
+from rig_lab import (FeatureProbabilities, RigInstance, UniformHypergraph, ValidationError, cli,
+                     graph_from_text, hypergraph_from_text)
 
 _TOKEN = st.one_of(st.integers(-2, 14).map(str),
                    st.sampled_from(["x", "1.5", "-", "0x1", "1e2", "+3", "٣"]))
@@ -71,9 +75,9 @@ def test_hypergraph_from_text_raises_only_validation_error(text):
         h = hypergraph_from_text(text)
     except ValidationError:
         return
-    assert all(len(set(e)) == h.arity and 0 <= e[0] and e[-1] < h.n for e in h.hyperedges)
+    assert all(len(set(e)) == h.arity and 0 <= e[0] and e[-1] < h.n for e in h.rows().tolist())
     header = next(ln for ln in text.splitlines() if ln.strip())
-    assert len(h.hyperedges) == int(header.split()[2])  # no repeated line was collapsed
+    assert len(h.ranks) == int(header.split()[2])  # no repeated line was collapsed
 
 
 _MEMBER = st.one_of(st.integers(-2, 14), st.integers(), st.floats(), st.booleans(),
@@ -108,6 +112,61 @@ def test_rig_instance_raises_only_validation_error(incidence):
     assert inst.members.tolist() == [v for row in expected for v in row]
     assert inst.indptr.tolist() == list(itertools.accumulate(map(len, expected), initial=0))
     assert inst.feature_sets == tuple(frozenset(row) for row in rows)
+
+
+@st.composite
+def _hyperedge_lists(draw):
+    """(n, arity, hyperedges): mostly rows of `arity` in-range vertices, sometimes
+    arity 1 or 4, an out-of-range or repeated vertex, or a row that is not one."""
+    n = draw(st.integers(-1, 12))
+    arity = draw(st.sampled_from((2, 3) if draw(st.integers(0, 4)) else (1, 4)))
+    vertex = st.integers(-1, n) if draw(st.integers(0, 3)) == 0 else st.integers(0, max(n - 1, 0))
+    unique = n >= arity and draw(st.integers(0, 3)) > 0
+    edges = draw(st.lists(st.lists(vertex, min_size=arity, max_size=arity, unique=unique),
+                          max_size=7))
+    if draw(st.integers(0, 3)) == 0:
+        edges.insert(draw(st.integers(0, len(edges))), draw(_BAD_ROW))
+    return n, arity, edges
+
+
+@given(_hyperedge_lists())
+@example((4, 2, [(0.5, 2.7)]))  # float vertices, which must not truncate to (0, 2)
+@example((4, 2, [(0, 1), (1,)]))  # ragged
+@example((4, 2, [(1, 1)]))  # a repeated vertex
+@example((4, 2, [(0, 4)]))  # out of range
+@example((4, 1, [(0,)]))
+@example((5, 4, [(0, 1, 2, 3)]))
+@settings(max_examples=300, deadline=None)
+def test_uniform_hypergraph_raises_only_validation_error(hypergraph):
+    n, arity, edges = hypergraph
+    try:
+        h = UniformHypergraph(n, arity, edges)
+    except ValidationError:
+        return
+    # one sorted rank per distinct hyperedge
+    assert sorted(map(tuple, h.rows().tolist())) == sorted({tuple(sorted(e)) for e in edges})
+    assert h.ranks.dtype == np.int64 and (np.diff(h.ranks) > 0).all()
+
+
+_PROBABILITY = st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True), _MEMBER)
+
+
+@given(st.one_of(st.lists(_PROBABILITY, max_size=6),
+                 st.lists(st.lists(_PROBABILITY, max_size=3), max_size=3), _MEMBER))
+@example([0.5, math.nan])
+@example([0.0])
+@example([1.0])
+@example([])
+@example([[0.25, 0.5]])  # 2-D
+@settings(max_examples=300, deadline=None)
+def test_feature_probabilities_raise_only_validation_error(values):
+    try:
+        p = FeatureProbabilities(values)
+    except ValidationError:
+        return
+    assert p.values.dtype == np.float64 and not p.values.flags.writeable
+    assert p.values.tolist() == [float(v) for v in values]
+    assert all(0.0 < v < 1.0 for v in p.values.tolist())
 
 
 def _run_cli(argv):

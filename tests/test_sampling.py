@@ -25,6 +25,7 @@ from rig_lab import (
     sample_rig,
 )
 from rig_lab.experiments import render_results_csv, render_summary_json
+from rig_lab.graphs import rank_subsets
 from rig_lab.sampling import MAX_DRAWS, _floyd_rows, draw_subsets, unrank_subsets
 from oracles import oracle_project_rig, oracle_sample_rig, subset_rank, subset_unrank
 
@@ -38,7 +39,7 @@ def test_probability_vector_validation():
         FeatureProbabilities((1.0,))
     with pytest.raises(ValidationError):
         FeatureProbabilities((0.5, float("nan")))
-    assert FeatureProbabilities.homogeneous(3, 0.25).values == (0.25, 0.25, 0.25)
+    assert FeatureProbabilities.homogeneous(3, 0.25).values.tolist() == [0.25, 0.25, 0.25]
 
 
 def test_seed_determinism_and_separation():
@@ -218,11 +219,12 @@ def test_coupling_and_gen_outputs_are_pinned(argv, digest):
 
 
 def test_h_independent_trivial_cases():
-    assert len(sample_h_independent(20, 3, 0.0, Seed(1).child("h0")).hyperedges) == 0
+    assert len(sample_h_independent(20, 3, 0.0, Seed(1).child("h0")).ranks) == 0
     for phat in (1e-300, 1e-19):  # the skips saturate at the int64 top
-        assert len(sample_h_independent(8, 2, phat, Seed(1)).hyperedges) == 0
+        assert len(sample_h_independent(8, 2, phat, Seed(1)).ranks) == 0
     full = sample_h_independent(4, 3, 1.0, Seed(1).child("h1"))
-    assert full.hyperedges == frozenset(itertools.combinations(range(4), 3))
+    assert full.ranks.tolist() == [0, 1, 2, 3]
+    assert sorted(map(tuple, full.rows().tolist())) == list(itertools.combinations(range(4), 3))
     with pytest.raises(UnsupportedArity):
         sample_h_independent(10, 4, 0.5, Seed(1))
     with pytest.raises(ValidationError):
@@ -235,7 +237,7 @@ def test_h_independent_mean_edge_count():
     trials = 10_000
     seed = Seed(77).child("hmean")
     total = sum(
-        len(sample_h_independent(n, 2, phat, seed.child(t)).hyperedges) for t in range(trials)
+        len(sample_h_independent(n, 2, phat, seed.child(t)).ranks) for t in range(trials)
     )
     mean = total / trials
     se = math.sqrt(math.comb(n, 2) * phat * (1 - phat) / trials)
@@ -243,9 +245,9 @@ def test_h_independent_mean_edge_count():
 
 
 def test_g_star_trivial_cases():
-    assert len(sample_g_star(10, 2, 0, Seed(1).child("g0")).hyperedges) == 0
+    assert len(sample_g_star(10, 2, 0, Seed(1).child("g0")).ranks) == 0
     only = sample_g_star(3, 3, 5, Seed(1).child("g1"))
-    assert only.hyperedges == frozenset({(0, 1, 2)})
+    assert only.ranks.tolist() == [0] and only.rows().tolist() == [[0, 1, 2]]
 
 
 def test_g_star_collision_probability():
@@ -254,7 +256,7 @@ def test_g_star_collision_probability():
     seed = Seed(31).child("collide")
     hits = sum(
         1 for t in range(trials)
-        if len(sample_g_star(4, 2, 2, seed.child(t)).hyperedges) == 1
+        if len(sample_g_star(4, 2, 2, seed.child(t)).ranks) == 1
     )
     freq = hits / trials
     se = math.sqrt((1 / 6) * (5 / 6) / trials)
@@ -262,9 +264,10 @@ def test_g_star_collision_probability():
 
 
 def test_g_star_poisson_trivial_and_saturated():
-    assert len(sample_g_star_poisson(10, 3, 0.0, Seed(1).child("p0")).hyperedges) == 0
+    assert len(sample_g_star_poisson(10, 3, 0.0, Seed(1).child("p0")).ranks) == 0
     sat = sample_g_star_poisson(4, 2, 1e6, Seed(1).child("p1"))
-    assert sat.hyperedges == frozenset(itertools.combinations(range(4), 2))
+    assert sat.ranks.tolist() == list(range(6))
+    assert sorted(map(tuple, sat.rows().tolist())) == list(itertools.combinations(range(4), 2))
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
             sample_g_star_poisson(4, 2, lam, Seed(1).child("p2"))
@@ -278,8 +281,8 @@ def test_g_star_poisson_matches_independent_frequency():
     count_a = 0
     count_b = 0
     for t in range(trials):
-        count_a += len(sample_g_star_poisson(n, 3, lam, seed.child("a", t)).hyperedges)
-        count_b += len(sample_h_independent(n, 3, q, seed.child("b", t)).hyperedges)
+        count_a += len(sample_g_star_poisson(n, 3, lam, seed.child("a", t)).ranks)
+        count_b += len(sample_h_independent(n, 3, q, seed.child("b", t)).ranks)
     expect = 20 * q * trials
     sd = math.sqrt(20 * q * (1 - q) * trials)
     assert abs(count_a - expect) < 4 * sd
@@ -292,13 +295,13 @@ def test_h_independent_scales_with_hits_not_universe():
     n, phat = 1_000_000, 1e-9
     expected = math.comb(n, 2) * phat
     h = sample_h_independent(n, 2, phat, Seed(55).child("huge"))
-    count = len(h.hyperedges)
+    count = len(h.ranks)
     assert abs(count - expected) < 5 * math.sqrt(expected)
-    assert all(0 <= a < b < n for a, b in h.hyperedges)
+    assert all(0 <= a < b < n for a, b in h.rows().tolist())
     # at the largest arity-3 universe the rank sums of one chunk pass 2**63
     n = 3_810_779
     h = sample_h_independent(n, 3, 50 / math.comb(n, 3), Seed(55).child("wide"))
-    assert 20 < len(h.hyperedges) < 100 and all(0 <= a < b < c < n for a, b, c in h.hyperedges)
+    assert 20 < len(h.ranks) < 100 and all(0 <= a < b < c < n for a, b, c in h.rows().tolist())
 
 
 @given(st.data())
@@ -309,6 +312,7 @@ def test_subset_rank_unrank_round_trip(data):
     sub = tuple(unrank_subsets(np.array([rank]), 1000, arity)[0].tolist())
     assert len(sub) == arity and all(a < b for a, b in zip(sub, sub[1:]))
     assert subset_rank(sub) == rank
+    assert rank_subsets(np.array([sub])).tolist() == [rank]
 
 
 def test_unrank_enumerates_all_subsets():
@@ -339,6 +343,7 @@ def test_vectorized_unrank_matches_scalar_oracle(n, arity):
     assert rows.dtype == np.int64 and rows.shape == (len(ranks), arity)
     assert [tuple(row) for row in rows.tolist()] == [subset_unrank(r, arity) for r in ranks]
     assert rows.max() < n
+    assert rank_subsets(rows).tolist() == ranks  # the inverse, up to C(n, arity) - 1
 
 
 @pytest.mark.parametrize("n, arity", [(2**32, 2), (3_810_779, 3)])
