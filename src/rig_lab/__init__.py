@@ -35,9 +35,7 @@ from .sampling import (
     sample_rig,
 )
 from .thresholds import (
-    CouplingParameters,
     ThresholdStats,
-    coupling_parameters,
     default_omega,
     homogeneous_p_for_target,
     limit_probability,

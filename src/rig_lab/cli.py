@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``rig-lab gen``       sample one graph/hypergraph model, emit edge-list text
-* ``rig-lab stats``     print the summary statistics and coupling parameters
+* ``rig-lab stats``     print the summary statistics and the coupling chain's
+                        sandwich law (``thresholds.sandwich_law``)
 * ``rig-lab check``     decide a property of an edge-list file
 * ``rig-lab couple``    run coupling-chain trials, JSON lines plus a summary
 * ``rig-lab collector`` run coupon-collector trials, JSON lines plus a summary
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .errors import PlanningError, ValidationError
@@ -40,7 +42,7 @@ from .sampling import (
     sample_h_independent,
     sample_rig,
 )
-from .thresholds import check_omega, coupling_parameters, default_omega, summary_stats
+from .thresholds import check_omega, default_omega, sandwich_law, summary_stats
 
 EXIT_OK = 0
 EXIT_ABORTED = 1
@@ -146,7 +148,7 @@ def _cmd_stats(args) -> int:
     probs = _load_probabilities(args)
     stats = summary_stats(args.n, probs, t_max=args.t_max)
     omega = args.omega if args.omega is not None else default_omega(args.n)
-    params = coupling_parameters(stats, args.n, omega, variant=args.variant)
+    regime, pair_mean, triple_mean, _ = sandwich_law(stats, omega)
     doc = {
         "n": args.n,
         "m": probs.m,
@@ -155,12 +157,15 @@ def _cmd_stats(args) -> int:
         "S3": stats.S3,
         "S1t": list(stats.S1t),
         "a_n": stats.a_n,
-        "p_hat": params.p_hat,
-        "p_hat2": params.p_hat2,
-        "p_hat3": params.p_hat3,
-        "regime": params.regime,
+        "pair_mean": pair_mean,
+        "triple_mean": triple_mean,
+        # Poisson(max(0, mean_i)) uniform draws of i-sets hit a given one with probability
+        # p_hat_i = 1 - exp(-max(0, mean_i) / C(n, i)) (criterion 2); n = 2 has no 3-sets
+        "p_hat2": -math.expm1(-max(0.0, pair_mean) / math.comb(args.n, 2)),
+        "p_hat3": (-math.expm1(-max(0.0, triple_mean) / math.comb(args.n, 3)) if args.n > 2
+                   else 0.0),
+        "regime": regime,
         "omega": omega,
-        "variant": params.variant,
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--profile")
     stats.add_argument("--t-max", type=int, default=None)
     stats.add_argument("--omega", type=float, default=None)
-    stats.add_argument("--variant", choices=["linear", "exponential"], default="linear")
     stats.set_defaults(func=_cmd_stats)
 
     check = sub.add_parser("check", help="decide a property of an edge-list file")

@@ -12,7 +12,9 @@ Three experiments, each reproducible from a Seed:
   ``padding`` (one block of uniforms for Floyd's rule, in feature order)
   and ``poisson`` (the pair count, then the triple count).  The rebuilt
   features are a RigInstance projected by ``project_rig``; edges and
-  memberships are sorted int64 keys, compared by ``searchsorted``.
+  memberships are sorted int64 keys, compared by ``searchsorted``.  The
+  Poisson means, the regime and the concentration slack are
+  ``thresholds.sandwich_law``, which ``rig-lab stats`` prints.
 
 * ``coupon_collector_trial`` couples the construction with a coupon
   collector process: feature sets are the distinct vertices seen in
@@ -43,12 +45,12 @@ from .sampling import (
     sample_g_star_poisson,
     sample_h_independent,
 )
-from .thresholds import check_omega, summary_stats
+from .thresholds import sandwich_law, summary_stats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureDecomposition:
-    """Per-feature size bookkeeping for the clique coupling.
+    """Per-feature size bookkeeping for the clique coupling, as int64 arrays.
 
     ``active_sizes[i]`` is the feature-class size when it is at least 2 and
     0 otherwise (singletons make no edges); ``odd_flags[i]`` marks the odd
@@ -57,9 +59,9 @@ class FeatureDecomposition:
     (active - 3*odd)/2 pairs and odd triples per feature.
     """
 
-    sizes: tuple[int, ...]
-    active_sizes: tuple[int, ...]
-    odd_flags: tuple[int, ...]
+    sizes: np.ndarray
+    active_sizes: np.ndarray
+    odd_flags: np.ndarray
     pair_draws: int
     triple_draws: int
 
@@ -68,7 +70,7 @@ def decompose_sizes(sizes) -> FeatureDecomposition:
     sizes = np.asarray(sizes, dtype=np.int64)
     active = np.where(sizes >= 2, sizes, 0)
     odd = active % 2
-    return FeatureDecomposition(tuple(sizes.tolist()), tuple(active.tolist()), tuple(odd.tolist()),
+    return FeatureDecomposition(sizes, active, odd,
                                 int((active - 3 * odd).sum()) // 2, int(odd.sum()))
 
 
@@ -161,23 +163,21 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     Chain: sample per-feature sizes; rebuild each feature from consecutive
     slices of one pair-draw stream and one triple-draw stream (containment
     in the rebuilt intersection graph is exact); then draw Poisson counts
-    with means (S1 - 3*S3 - 5*omega*sqrt(S1))/2 and S3 - 2*omega*sqrt(S1)
-    and take prefixes of the same streams.  The guard events are exactly
-    the hypotheses under which prefix containment is certified:
+    at the means of ``sandwich_law`` and take prefixes of the same streams.
+    The guard events are exactly the hypotheses under which prefix
+    containment is certified:
 
     * poisson_pairs_ok:        poisson pair count   <= pair draws used
     * poisson_triples_ok:      poisson triple count <= triple draws used
-    * size_concentration_ok:   |sum active sizes - S1| <= omega*sqrt(S1)
+    * size_concentration_ok:   |sum active sizes - S1| <= the law's slack
 
-    Negative Poisson means clamp to 0 and mark the matching guard False.
+    Negative Poisson means clamp to 0 and mark the matching guard False;
+    regime_infeasible marks the "small-S3" regime.
     """
-    check_omega(omega)
     st = summary_stats(n, p, t_max=2)
     if st.S1 <= 0:
         raise ValidationError("degenerate model: S1 = 0")
-    s1, s3 = st.S1, st.S3
-    sqrt_s1 = math.sqrt(s1)
-    regime_infeasible = not (s3 > omega * omega * sqrt_s1)
+    regime, mean_pairs, mean_triples, slack = sandwich_law(st, omega)
 
     rng_sizes = seed.child("sizes").rng()
     rng_pairs = seed.child("pair-stream").rng()
@@ -188,10 +188,6 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     sizes = rng_sizes.binomial(n, p.values)
     dec = decompose_sizes(sizes)
 
-    mean_pairs = (s1 - 3.0 * s3 - 5.0 * omega * sqrt_s1) / 2.0
-    mean_triples = s3 - 2.0 * omega * sqrt_s1
-    clamped_pairs = mean_pairs < 0
-    clamped_triples = mean_triples < 0
     poisson_pairs = int(rng_po.poisson(max(0.0, mean_pairs)))
     poisson_triples = int(rng_po.poisson(max(0.0, mean_triples)))
 
@@ -200,17 +196,17 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
 
     pairs = pair_stream[:dec.pair_draws]
     triples = triple_stream[:dec.triple_draws]
-    members, draw_keys = _rebuild(n, np.array(dec.active_sizes, dtype=np.int64), pairs, triples, rng_pad)
+    members, draw_keys = _rebuild(n, dec.active_sizes, pairs, triples, rng_pad)
     rig = project_rig(RigInstance._wrap(n, p.m, *_sorted_rows(members, n, p.m)))
     tails, heads = rig.arcs()
     rig_edges = (tails * n + heads)[tails < heads]  # sorted: CSR rows in order
     prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
 
-    sum_active = sum(dec.active_sizes)
+    sum_active = int(dec.active_sizes.sum())
     guards = {
-        "poisson_pairs_ok": (poisson_pairs <= dec.pair_draws) and not clamped_pairs,
-        "poisson_triples_ok": (poisson_triples <= dec.triple_draws) and not clamped_triples,
-        "size_concentration_ok": abs(sum_active - s1) <= omega * sqrt_s1,
+        "poisson_pairs_ok": (poisson_pairs <= dec.pair_draws) and not mean_pairs < 0,
+        "poisson_triples_ok": (poisson_triples <= dec.triple_draws) and not mean_triples < 0,
+        "size_concentration_ok": abs(sum_active - st.S1) <= slack,
     }
     return CouplingReport(
         contained=_within(prefix_edges, rig_edges),
@@ -224,7 +220,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         rig_edge_count=len(rig_edges),
         coupled_edge_count=len(_edge_keys(n, pairs, triples)),
         prefix_edge_count=len(prefix_edges),
-        regime_infeasible=regime_infeasible,
+        regime_infeasible=regime == "small-S3",
         omega=omega,
     )
 
@@ -239,10 +235,10 @@ class CollectorReport:
     * covered_within_upper:   all n coupons seen within T_plus draws
     * finished_in_window:     total construction draws T in [T_minus, T_plus]
     * finished_within_overhead: T <= sum(active sizes) + S1/(omega*ln n)
-    * sizes_concentrated:     |sum(active sizes) - S1| <= omega*sqrt(S1)
+    * sizes_concentrated:     |sum(active sizes) - S1| <= slack
 
-    with T_minus = S1 - omega*sqrt(S1) and
-    T_plus = S1 + omega*sqrt(S1) + S1/(omega*ln n).  The exact per-trial
+    with slack the concentration slack of ``sandwich_law``,
+    T_minus = S1 - slack and T_plus = S1 + slack + S1/(omega*ln n).  The exact per-trial
     sandwich is:  (covered_within_lower and finished_in_window) implies
     min degree >= 1 implies (covered_within_upper or not finished_in_window).
     """
@@ -267,13 +263,13 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     The coupon stream continues past the construction so that coverage
     times beyond T are still observed.
     """
-    check_omega(omega)
     st = summary_stats(n, p, t_max=2)
     if st.S1 <= 0:
         raise ValidationError("degenerate model: S1 = 0")
+    *_, slack = sandwich_law(st, omega)
     s1 = st.S1
-    t_minus = s1 - omega * math.sqrt(s1)
-    t_plus = s1 + omega * math.sqrt(s1) + s1 / (omega * math.log(n))
+    t_minus = s1 - slack
+    t_plus = s1 + slack + s1 / (omega * math.log(n))
 
     rng_sizes = seed.child("sizes").rng()
     rng_draws = seed.child("coupons").rng()
@@ -304,7 +300,7 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
                 covered_at = total
         return v
 
-    for size in dec.active_sizes:
+    for size in dec.active_sizes.tolist():
         if size == 0:
             continue
         phase: set[int] = set()
@@ -321,14 +317,14 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     if covered_at < 0:
         raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
 
-    sum_active = sum(dec.active_sizes)
+    sum_active = int(dec.active_sizes.sum())
     events = {
         "covered_within_lower": covered_at <= t_minus,
         "covered_within_upper": covered_at <= t_plus,
         "finished_in_window": t_minus <= construction_draws <= t_plus,
         "finished_within_overhead": construction_draws
         <= sum_active + s1 / (omega * math.log(n)),
-        "sizes_concentrated": abs(sum_active - s1) <= omega * math.sqrt(s1),
+        "sizes_concentrated": abs(sum_active - s1) <= slack,
     }
     return CollectorReport(
         total_draws=construction_draws,

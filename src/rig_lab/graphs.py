@@ -111,7 +111,13 @@ class SimpleGraph(_ArrayValue):
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        try:
+            pairs = np.array(list(edges))
+        except ValueError:  # ragged rows
+            raise ValidationError("each edge must be a pair of vertices") from None
+        if pairs.shape != (0,) and (pairs.dtype.kind not in "iu" or pairs.shape[1:] != (2,)):
+            raise ValidationError("each edge must be a pair of integer vertices")
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         loops = pairs[:, 0] == pairs[:, 1]
         if loops.any():
             raise ValidationError(f"self-loop at vertex {pairs[loops.argmax(), 0]}")

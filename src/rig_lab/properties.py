@@ -548,7 +548,7 @@ def _backtrack_hc(adj: list[set[int]], n: int, start: int,
             return found == remaining
         return True
 
-    # establish the slot invariant once at the root
+    # check once at the root that every unvisited vertex has two slots
     for u in range(n):
         if not visited[u] and slots(u, start) < 2:
             return None, True, effort

@@ -10,8 +10,8 @@ The central quantities for a probability vector p over m features are
 
 S1 is the expected total size of the non-singleton feature classes, S3 the
 expected number of odd ones (size >= 3), S2 = S1 - S3, and S1t the size-t
-slice, so S1 = sum_t S1t.  These drive both the coupling parameters and the
-c-axis parameterization of the sweep experiments.
+slice, so S1 = sum_t S1t.  These drive both the coupling's sandwich law and
+the c-axis parameterization of the sweep experiments.
 """
 
 from __future__ import annotations
@@ -59,28 +59,6 @@ class ThresholdStats:
 
     def t_max(self) -> int:
         return len(self.S1t) + 1
-
-
-@dataclass(frozen=True)
-class CouplingParameters:
-    """Edge/triangle probabilities for the sandwich graph built under a model.
-
-    regime is "dominant-S3" when the odd mass S3 exceeds omega^2 * sqrt(S1)
-    (the finite-n surrogate for S3 >> sqrt(S1)), else "small-S3" where the
-    triangle layer is dropped.  variant "linear" uses the ratio forms;
-    "exponential" uses the 1 - exp(-x) forms appropriate for dense models.
-    Negative intermediate values clamp to 0 and set the matching flag.
-    """
-
-    p_hat: float
-    p_hat2: float
-    p_hat3: float
-    regime: str
-    variant: str
-    omega: float
-    clamped_p_hat: bool = False
-    clamped_p_hat2: bool = False
-    clamped_p_hat3: bool = False
 
 
 def _pow_1m_p(p: np.ndarray, k: int) -> np.ndarray:
@@ -137,66 +115,25 @@ def summary_stats(n: int, p: FeatureProbabilities, t_max: int | None = None) -> 
     return ThresholdStats(n=n, m=p.m, S1=s1, S2=s2, S3=s3, S1t=tuple(s1t), a_n=a_n)
 
 
-def _clamp01(x: float) -> tuple[float, bool]:
-    if x < 0.0:
-        return 0.0, True
-    if x > 1.0:
-        return 1.0, True
-    return x, False
+def sandwich_law(stats: ThresholdStats, omega: float) -> tuple[str, float, float, float]:
+    """(regime, pair mean, triple mean, slack) of the sandwich graph
+    H2(n, p_hat2) u proj H3(n, p_hat3) that the coupling chain draws.
 
-
-def coupling_parameters(
-    stats: ThresholdStats,
-    n: int,
-    omega: float,
-    variant: str = "linear",
-) -> CouplingParameters:
-    """Derive the sandwich probabilities (p_hat, p_hat2, p_hat3) from stats.
-
-    variant "linear" divides shifted masses by 2*C(n,2) and C(n,3);
-    variant "exponential" maps the same shifted masses through 1 - exp(-x/..),
-    the form that stays valid when S1 grows like n^2.
+    The chain takes Poisson(pair mean) uniform pairs, with pair mean
+    (S1 - 3*S3 - 5*omega*sqrt(S1))/2, and Poisson(triple mean) uniform
+    triples, with triple mean S3 - 2*omega*sqrt(S1); by the Poissonization
+    identity p_hat_i = 1 - exp(-mean_i / C(n, i)).  The slack omega*sqrt(S1)
+    bounds |sum of active sizes - S1| in the size-concentration guards.
+    regime is "dominant-S3" when S3 > omega^2 * sqrt(S1) (the finite-n
+    surrogate for S3 >> sqrt(S1)), else "small-S3".
     """
     check_omega(omega)
-    if variant not in ("linear", "exponential"):
-        raise ValidationError(f"unknown variant {variant!r}")
-    s1, s2, s3 = stats.S1, stats.S2, stats.S3
-    pairs2 = 2.0 * math.comb(n, 2)
-    triples = float(math.comb(n, 3))
-    dominant = s3 > omega * omega * math.sqrt(s1) if s1 > 0 else False
-    regime = "dominant-S3" if dominant else "small-S3"
-
-    if variant == "linear":
-        raw_hat = (s2 - omega * math.sqrt(s2) - 2.0 * s2 * s2 / n**2) / pairs2
-        if dominant:
-            raw2 = (s1 - 3.0 * s3 - omega * math.sqrt(s1) - 2.0 * s1 * s1 / n**2) / pairs2
-            raw3 = (s3 - omega * math.sqrt(s1) - 6.0 * s3 * s3 / n**3) / triples
-        else:
-            raw2 = (s1 - omega * math.sqrt(s1) - 2.0 * s1 * s1 / n**2) / pairs2
-            raw3 = 0.0
-    else:
-        raw_hat = -math.expm1(-(s2 - omega * math.sqrt(s2)) / pairs2)
-        if dominant:
-            raw2 = -math.expm1(-(s1 - 3.0 * s3 - omega * math.sqrt(s1)) / pairs2)
-            raw3 = -math.expm1(-(s3 - omega * math.sqrt(s1)) / triples)
-        else:
-            raw2 = -math.expm1(-(s1 - omega * math.sqrt(s1)) / pairs2)
-            raw3 = 0.0
-
-    p_hat, c_hat = _clamp01(raw_hat)
-    p_hat2, c2 = _clamp01(raw2)
-    p_hat3, c3 = _clamp01(raw3)
-    return CouplingParameters(
-        p_hat=p_hat,
-        p_hat2=p_hat2,
-        p_hat3=p_hat3,
-        regime=regime,
-        variant=variant,
-        omega=omega,
-        clamped_p_hat=c_hat,
-        clamped_p_hat2=c2,
-        clamped_p_hat3=c3,
-    )
+    s1, s3 = stats.S1, stats.S3
+    sqrt_s1 = math.sqrt(s1)
+    regime = "dominant-S3" if s3 > omega * omega * sqrt_s1 else "small-S3"
+    mean_pairs = (s1 - 3.0 * s3 - 5.0 * omega * sqrt_s1) / 2.0
+    mean_triples = s3 - 2.0 * omega * sqrt_s1
+    return regime, mean_pairs, mean_triples, omega * sqrt_s1
 
 
 def limit_probability(c: float) -> float:

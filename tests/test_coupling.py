@@ -30,18 +30,18 @@ def test_decompose_examples():
     empty = decompose_sizes([0, 0, 0])
     assert empty.pair_draws == 0 and empty.triple_draws == 0
     single5 = decompose_sizes([5])
-    assert single5.active_sizes == (5,) and single5.odd_flags == (1,)
+    assert single5.active_sizes.tolist() == [5] and single5.odd_flags.tolist() == [1]
     assert single5.pair_draws == 1 and single5.triple_draws == 1
     singleton = decompose_sizes([1])
-    assert singleton.active_sizes == (0,) and singleton.pair_draws == 0
+    assert singleton.active_sizes.tolist() == [0] and singleton.pair_draws == 0
     assert singleton.triple_draws == 0
 
 
 def test_decompose_from_instance():
     inst = RigInstance(6, 3, (frozenset({0, 1, 2}), frozenset({4}), frozenset()))
     dec = decompose_sizes(np.diff(inst.indptr))
-    assert dec.sizes == (3, 1, 0)
-    assert dec.active_sizes == (3, 0, 0)
+    assert dec.sizes.tolist() == [3, 1, 0]
+    assert dec.active_sizes.tolist() == [3, 0, 0]
     assert dec.pair_draws == 0 and dec.triple_draws == 1
 
 

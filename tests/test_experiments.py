@@ -376,8 +376,11 @@ def test_cli_stats_and_gen(tmp_path, capsys):
     rc = cli.main(["stats", "--n", "50", "--m", "20", "--p", "0.05"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"n", "m", "S1", "S2", "S3", "S1t", "a_n", "p_hat", "p_hat2",
-                        "p_hat3", "regime", "omega", "variant"}
+    assert set(doc) == {"n", "m", "S1", "S2", "S3", "S1t", "a_n", "pair_mean", "triple_mean",
+                        "p_hat2", "p_hat3", "regime", "omega"}
+    with pytest.raises(SystemExit) as exc:  # the second sandwich formula is gone
+        cli.main(["stats", "--n", "50", "--m", "20", "--p", "0.05", "--variant", "linear"])
+    assert exc.value.code == 2 and "--variant" in capsys.readouterr().err
     for bad in ("inf", "nan"):
         assert cli.main(["stats", "--n", "10", "--m", "5", "--p", "0.5", "--omega", bad]) == 2
         out, err = capsys.readouterr()

@@ -25,8 +25,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import rig_lab
-from rig_lab import (FeatureProbabilities, RigInstance, UniformHypergraph, ValidationError, cli,
-                     graph_from_text, hypergraph_from_text)
+from rig_lab import (FeatureProbabilities, RigInstance, SimpleGraph, UniformHypergraph,
+                     ValidationError, cli, graph_from_text, hypergraph_from_text)
 
 _TOKEN = st.one_of(st.integers(-2, 14).map(str),
                    st.sampled_from(["x", "1.5", "-", "0x1", "1e2", "+3", "٣"]))
@@ -146,6 +146,21 @@ def test_uniform_hypergraph_raises_only_validation_error(hypergraph):
     # one sorted rank per distinct hyperedge
     assert sorted(map(tuple, h.rows().tolist())) == sorted({tuple(sorted(e)) for e in edges})
     assert h.ranks.dtype == np.int64 and (np.diff(h.ranks) > 0).all()
+
+
+@given(_hyperedge_lists().map(lambda h: (h[0], h[2])))
+@example((4, [(0.5, 2.7)]))  # float vertices, which must not truncate to (0, 2)
+@example((4, [(0,), (1,)]))  # rows of one vertex, which must not pair up into (0, 1)
+@example((4, [[]]))
+@example((4, []))
+@settings(max_examples=300, deadline=None)
+def test_simple_graph_raises_only_validation_error(graph):
+    n, edges = graph
+    try:
+        g = SimpleGraph(n, edges)
+    except ValidationError:
+        return
+    assert g.edge_list() == sorted({tuple(sorted(e)) for e in edges})
 
 
 _PROBABILITY = st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True), _MEMBER)

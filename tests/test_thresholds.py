@@ -1,4 +1,8 @@
+import contextlib
+import io
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,15 +12,18 @@ from rig_lab import (
     FeatureProbabilities,
     OutOfRangeError,
     ThresholdStats,
+    Seed,
     ValidationError,
-    coupling_parameters,
+    cli,
     homogeneous_p_for_target,
     limit_probability,
     per_feature_mass,
     refined_threshold_rhs,
+    run_coupling_trial,
     summary_stats,
 )
-from oracles import balanced_feature_ratio, c_from_s1, oracle_stats
+from rig_lab.thresholds import sandwich_law
+from oracles import balanced_feature_ratio, c_from_s1, oracle_run_coupling_trial, oracle_stats
 
 
 def test_hand_example_n3():
@@ -178,44 +185,58 @@ def _inject_stats(n, m, s1, s2, s3, s12):
     return ThresholdStats(n=n, m=m, S1=s1, S2=s2, S3=s3, S1t=(s12,), a_n=s12 / s1)
 
 
-def test_coupling_parameters_branches_and_clamps():
+def _stats_doc(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["stats", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+def _oracle_means(n, p, omega, seed):
+    """oracle_run_coupling_trial's report and the two Poisson means it computes
+    inline, read from its frame as it returns."""
+    means = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is oracle_run_coupling_trial.__code__:
+            means.update(frame.f_locals)
+
+    sys.setprofile(profile)
+    try:
+        report = oracle_run_coupling_trial(n, p, omega, seed)
+    finally:
+        sys.setprofile(None)
+    return report, means["mean_pairs"], means["mean_triples"]
+
+
+def test_stats_prints_the_law_the_chain_draws(monkeypatch):
+    crit4_p = homogeneous_p_for_target(3000, 3000, math.log(3000) / 3000)
+    # criterion 4 (S1 = n ln n, omega = ln ln n), and the first couple output pin
+    for n, p, omega, regime in ((3000, crit4_p, math.log(math.log(3000)), "dominant-S3"),
+                                (300, 0.019, 2.0, "small-S3")):
+        doc = _stats_doc(["--n", str(n), "--m", str(n), "--p", repr(p), "--omega", repr(omega)])
+        assert doc["regime"] == regime
+        probs = FeatureProbabilities.homogeneous(n, p)
+        seed = Seed(7).child("couple", 0)
+        oracle, mean_pairs, mean_triples = _oracle_means(n, probs, omega, seed)
+        assert (doc["pair_mean"], doc["triple_mean"]) == (mean_pairs, mean_triples)
+        for arity, mean in ((2, mean_pairs), (3, mean_triples)):
+            mass = -math.comb(n, arity) * math.log1p(-doc[f"p_hat{arity}"])
+            assert mass == pytest.approx(max(0.0, mean), rel=1e-12)
+        report = run_coupling_trial(n, probs, omega, seed)
+        assert report == oracle and report.regime_infeasible == (regime == "small-S3")
+        rng = seed.child("poisson").rng()
+        assert report.poisson_pairs == rng.poisson(max(0.0, mean_pairs))
+        assert report.poisson_triples == rng.poisson(max(0.0, mean_triples))
+    assert mean_triples == pytest.approx(-20.7, abs=0.05)  # clamped to 0: no triple is drawn
+
+    # on injected stats: S3 = 0 gives the small-S3 regime, a negative pair mean p_hat2 = 0
     n = 100
-    # tiny S2 forces the shifted mass negative -> clamp with flag
-    stats = _inject_stats(n, 10, 10.0, 1.0, 9.0, 5.0)
-    params = coupling_parameters(stats, n, omega=10.0)
-    assert params.p_hat == 0.0 and params.clamped_p_hat
-    # S3 = 0 selects the small-S3 branch and zeroes the triangle layer
-    stats = _inject_stats(n, 10, 100.0, 100.0, 0.0, 50.0)
-    params = coupling_parameters(stats, n, omega=2.0)
-    assert params.regime == "small-S3"
-    assert params.p_hat3 == 0.0 and not params.clamped_p_hat3
+    for stats, omega in ((_inject_stats(n, 10, 100.0, 100.0, 0.0, 50.0), 2.0),
+                         (_inject_stats(n, 10, 10.0, 1.0, 9.0, 5.0), 10.0)):
+        monkeypatch.setattr(cli, "summary_stats", lambda *args, **kwargs: stats)
+        doc = _stats_doc(["--n", str(n), "--m", "10", "--p", "0.5", "--omega", str(omega)])
+        assert doc["regime"] == "small-S3" and doc["triple_mean"] < 0 and doc["p_hat3"] == 0.0
+    assert doc["pair_mean"] < 0 and doc["p_hat2"] == 0.0
     with pytest.raises(ValidationError):
-        coupling_parameters(stats, n, omega=0.0)
-    with pytest.raises(ValidationError):
-        coupling_parameters(stats, n, omega=2.0, variant="other")
-
-
-def test_coupling_parameters_resubstitution_identity():
-    n = 10**4
-    m = n
-    p = homogeneous_p_for_target(n, m, math.log(n) / m)
-    stats = summary_stats(n, FeatureProbabilities.homogeneous(m, p), t_max=2)
-    omega = math.log(math.log(n))
-    params = coupling_parameters(stats, n, omega)
-    assert params.regime == "dominant-S3"
-    lhs = params.p_hat2 * 2 * math.comb(n, 2)
-    rhs = stats.S1 - 3 * stats.S3 - omega * math.sqrt(stats.S1) - 2 * stats.S1**2 / n**2
-    assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-def test_coupling_parameters_exponential_variant():
-    n = 10**4
-    p = homogeneous_p_for_target(n, n, math.log(n) / n)
-    stats = summary_stats(n, FeatureProbabilities.homogeneous(n, p), t_max=2)
-    omega = 2.0
-    lin = coupling_parameters(stats, n, omega, variant="linear")
-    exp_ = coupling_parameters(stats, n, omega, variant="exponential")
-    assert exp_.variant == "exponential"
-    # 1-exp(-x) <= x: the exponential forms sit just below the linear ones
-    assert exp_.p_hat <= lin.p_hat + 2 * stats.S2**2 / n**2
-    assert 0.0 < exp_.p_hat2 < 1.0 and 0.0 < exp_.p_hat3 < 1.0
+        sandwich_law(stats, 0.0)
