@@ -209,7 +209,8 @@ def _oracle_means(n, p, omega, seed):
     return report, means["mean_pairs"], means["mean_triples"]
 
 
-def test_stats_prints_the_law_the_chain_draws(monkeypatch):
+def test_coupling_parameters_resubstitution_identity():
+    """stats prints the chain's means, and -C(n, i) log1p(-p_hat_i) gives them back."""
     crit4_p = homogeneous_p_for_target(3000, 3000, math.log(3000) / 3000)
     # criterion 4 (S1 = n ln n, omega = ln ln n), and the first couple output pin
     for n, p, omega, regime in ((3000, crit4_p, math.log(math.log(3000)), "dominant-S3"),
@@ -230,7 +231,10 @@ def test_stats_prints_the_law_the_chain_draws(monkeypatch):
         assert report.poisson_triples == rng.poisson(max(0.0, mean_triples))
     assert mean_triples == pytest.approx(-20.7, abs=0.05)  # clamped to 0: no triple is drawn
 
-    # on injected stats: S3 = 0 gives the small-S3 regime, a negative pair mean p_hat2 = 0
+
+def test_coupling_parameters_branches_and_clamps(monkeypatch):
+    """On injected stats: S3 = 0 gives the small-S3 regime and p_hat3 = 0, a
+    negative pair mean p_hat2 = 0, and omega must be > 0."""
     n = 100
     for stats, omega in ((_inject_stats(n, 10, 100.0, 100.0, 0.0, 50.0), 2.0),
                          (_inject_stats(n, 10, 10.0, 1.0, 9.0, 5.0), 10.0)):
@@ -240,3 +244,18 @@ def test_stats_prints_the_law_the_chain_draws(monkeypatch):
     assert doc["pair_mean"] < 0 and doc["p_hat2"] == 0.0
     with pytest.raises(ValidationError):
         sandwich_law(stats, 0.0)
+
+
+def test_coupling_parameters_exponential_variant():
+    """The one law maps each mean through the exponential form
+    p_hat_i = 1 - exp(-mean_i / C(n, i)), which stays inside (0, 1) and
+    sits just below the linear form mean_i / C(n, i)."""
+    n = 10**4
+    p = homogeneous_p_for_target(n, n, math.log(n) / n)
+    doc = _stats_doc(["--n", str(n), "--m", str(n), "--p", repr(p), "--omega", "2.0"])
+    assert doc["regime"] == "dominant-S3"
+    for arity, key in ((2, "pair_mean"), (3, "triple_mean")):
+        linear = doc[key] / math.comb(n, arity)
+        assert 0.0 < doc[f"p_hat{arity}"] < 1.0
+        assert doc[f"p_hat{arity}"] == -math.expm1(-linear)
+        assert linear * (1.0 - linear / 2.0) <= doc[f"p_hat{arity}"] <= linear
