@@ -21,7 +21,6 @@ from .graphs import (
     UniformHypergraph,
     graph_from_text,
     graph_to_text,
-    hypergraph_from_text,
     hypergraph_to_text,
     project_hypergraph,
     project_rig,
@@ -55,11 +54,9 @@ from .properties import (
 from .coupling import (
     CollectorReport,
     CouplingReport,
-    FeatureDecomposition,
     PoissonizationReport,
     coupon_collector_trial,
     couple_feature,
-    decompose_sizes,
     poissonization_test,
     run_coupling_trial,
 )

@@ -194,16 +194,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(value).items()}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _trial_run(args) -> tuple[FeatureProbabilities, float]:
     """Profile and omega of a couple or collector run, checked before any output."""
     probs = _load_probabilities(args)
@@ -221,7 +211,7 @@ def _cmd_couple(args) -> int:
     contained = 0
     for t in range(args.trials):
         report = run_coupling_trial(args.n, probs, omega, seed.child("couple", t))
-        doc = _jsonable(report)
+        doc = dataclasses.asdict(report)
         doc["trial"] = t
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         if all(report.guard_events.values()):
@@ -243,7 +233,7 @@ def _cmd_collector(args) -> int:
     delta_ok = 0
     for t in range(args.trials):
         report = coupon_collector_trial(args.n, probs, omega, seed.child("collector", t))
-        doc = _jsonable(report)
+        doc = dataclasses.asdict(report)
         doc["trial"] = t
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
         delta_ok += 1 if report.delta_ge_1 else 0
@@ -255,7 +245,7 @@ def _cmd_collector(args) -> int:
 def _cmd_poisson_check(args) -> int:
     report = poissonization_test(args.n, args.arity, args.lam, args.trials,
                                  Seed(args.seed).child("poisson-check"))
-    doc = _jsonable(report)
+    doc = dataclasses.asdict(report)
     doc.pop("histogram", None)
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -318,25 +308,17 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=_cmd_check)
 
-    couple = sub.add_parser("couple", help="run coupling-chain trials")
-    couple.add_argument("--n", type=int, required=True)
-    couple.add_argument("--m", type=int)
-    couple.add_argument("--p", type=float)
-    couple.add_argument("--profile")
-    couple.add_argument("--omega", type=float, default=None)
-    couple.add_argument("--trials", type=int, default=10)
-    couple.add_argument("--seed", type=int, default=0)
-    couple.set_defaults(func=_cmd_couple)
-
-    collector = sub.add_parser("collector", help="run coupon-collector trials")
-    collector.add_argument("--n", type=int, required=True)
-    collector.add_argument("--m", type=int)
-    collector.add_argument("--p", type=float)
-    collector.add_argument("--profile")
-    collector.add_argument("--omega", type=float, default=None)
-    collector.add_argument("--trials", type=int, default=10)
-    collector.add_argument("--seed", type=int, default=0)
-    collector.set_defaults(func=_cmd_collector)
+    for name, func, help_text in (("couple", _cmd_couple, "run coupling-chain trials"),
+                                  ("collector", _cmd_collector, "run coupon-collector trials")):
+        trials = sub.add_parser(name, help=help_text)
+        trials.add_argument("--n", type=int, required=True)
+        trials.add_argument("--m", type=int)
+        trials.add_argument("--p", type=float)
+        trials.add_argument("--profile")
+        trials.add_argument("--omega", type=float, default=None)
+        trials.add_argument("--trials", type=int, default=10)
+        trials.add_argument("--seed", type=int, default=0)
+        trials.set_defaults(func=func)
 
     pz = sub.add_parser("poisson-check", help="paired test of the Poissonization identity")
     pz.add_argument("--n", type=int, required=True)

@@ -19,7 +19,12 @@ Three experiments, each reproducible from a Seed:
 * ``coupon_collector_trial`` couples the construction with a coupon
   collector process: feature sets are the distinct vertices seen in
   per-feature phases of uniform draws, so full coverage of the coupon set
-  is literally the event that no vertex stays isolated.
+  is literally the event that no vertex stays isolated.  It shares the
+  chain's start (stats, law and the ``sizes`` stream) and reads the
+  ``coupons`` stream in blocks of 4096 draws: the phases take them one by
+  one, and the coverage time is the last first occurrence of a vertex,
+  from ``np.unique`` over the drawn blocks, extended past the
+  construction until every vertex has come up or a cap is passed.
 
 * ``poissonization_test`` checks the distributional identity between the
   draws-with-repetition model with a Poisson draw count and the
@@ -45,33 +50,20 @@ from .sampling import (
     sample_g_star_poisson,
     sample_h_independent,
 )
-from .thresholds import sandwich_law, summary_stats
+from .thresholds import ThresholdStats, sandwich_law, summary_stats
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureDecomposition:
-    """Per-feature size bookkeeping for the clique coupling, as int64 arrays.
-
-    ``active_sizes[i]`` is the feature-class size when it is at least 2 and
-    0 otherwise (singletons make no edges); ``odd_flags[i]`` marks the odd
-    active sizes, which each consume one triangle draw.  ``pair_draws`` and
-    ``triple_draws`` are the total uniform pair / triple draws needed:
-    (active - 3*odd)/2 pairs and odd triples per feature.
-    """
-
-    sizes: np.ndarray
-    active_sizes: np.ndarray
-    odd_flags: np.ndarray
-    pair_draws: int
-    triple_draws: int
-
-
-def decompose_sizes(sizes) -> FeatureDecomposition:
-    sizes = np.asarray(sizes, dtype=np.int64)
-    active = np.where(sizes >= 2, sizes, 0)
-    odd = active % 2
-    return FeatureDecomposition(sizes, active, odd,
-                                int((active - 3 * odd).sum()) // 2, int(odd.sum()))
+def _trial_start(n: int, p: FeatureProbabilities, omega: float,
+                 seed: Seed) -> tuple[ThresholdStats, tuple[str, float, float, float], np.ndarray]:
+    """What both trials start from: the stats, ``sandwich_law`` at omega, and each
+    feature's active size -- its Binomial(n, p_i) size on the ``sizes`` stream, or 0
+    below 2 (singletons make no edges)."""
+    st = summary_stats(n, p, t_max=2)
+    if st.S1 <= 0:
+        raise ValidationError("degenerate model: S1 = 0")
+    law = sandwich_law(st, omega)
+    sizes = seed.child("sizes").rng().binomial(n, p.values)
+    return st, law, np.where(sizes >= 2, sizes, 0)
 
 
 def _rebuild(n: int, active: np.ndarray, pairs: np.ndarray, triples: np.ndarray,
@@ -135,7 +127,8 @@ def couple_feature(size: int, odd: int, n: int, seed) -> tuple[SimpleGraph, froz
     triples = draw_subsets(n, 3, odd, rng)
     members, _ = _rebuild(n, np.array([size]), pairs, triples, rng)
     edges = _edge_keys(n, pairs, triples)
-    return SimpleGraph(n, np.column_stack((edges // n, edges % n))), frozenset(members.tolist())
+    arcs = np.concatenate((edges, edges % n * n + edges // n))
+    return SimpleGraph._from_keys(n, arcs), frozenset(members.tolist())
 
 
 @dataclass(frozen=True)
@@ -174,46 +167,40 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     Negative Poisson means clamp to 0 and mark the matching guard False;
     regime_infeasible marks the "small-S3" regime.
     """
-    st = summary_stats(n, p, t_max=2)
-    if st.S1 <= 0:
-        raise ValidationError("degenerate model: S1 = 0")
-    regime, mean_pairs, mean_triples, slack = sandwich_law(st, omega)
+    st, (regime, mean_pairs, mean_triples, slack), active = _trial_start(n, p, omega, seed)
+    # each odd active size takes one triple, the rest of every size goes in pairs
+    sum_active = int(active.sum())
+    triple_draws = int((active % 2).sum())
+    pair_draws = (sum_active - 3 * triple_draws) // 2
 
-    rng_sizes = seed.child("sizes").rng()
-    rng_pairs = seed.child("pair-stream").rng()
-    rng_triples = seed.child("triple-stream").rng()
-    rng_pad = seed.child("padding").rng()
     rng_po = seed.child("poisson").rng()
-
-    sizes = rng_sizes.binomial(n, p.values)
-    dec = decompose_sizes(sizes)
-
     poisson_pairs = int(rng_po.poisson(max(0.0, mean_pairs)))
     poisson_triples = int(rng_po.poisson(max(0.0, mean_triples)))
 
-    pair_stream = draw_subsets(n, 2, max(dec.pair_draws, poisson_pairs), rng_pairs)
-    triple_stream = draw_subsets(n, 3, max(dec.triple_draws, poisson_triples), rng_triples)
+    pair_stream = draw_subsets(n, 2, max(pair_draws, poisson_pairs),
+                               seed.child("pair-stream").rng())
+    triple_stream = draw_subsets(n, 3, max(triple_draws, poisson_triples),
+                                 seed.child("triple-stream").rng())
 
-    pairs = pair_stream[:dec.pair_draws]
-    triples = triple_stream[:dec.triple_draws]
-    members, draw_keys = _rebuild(n, dec.active_sizes, pairs, triples, rng_pad)
+    pairs = pair_stream[:pair_draws]
+    triples = triple_stream[:triple_draws]
+    members, draw_keys = _rebuild(n, active, pairs, triples, seed.child("padding").rng())
     rig = project_rig(RigInstance._wrap(n, p.m, *_sorted_rows(members, n, p.m)))
     tails, heads = rig.arcs()
     rig_edges = (tails * n + heads)[tails < heads]  # sorted: CSR rows in order
     prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
 
-    sum_active = int(dec.active_sizes.sum())
     guards = {
-        "poisson_pairs_ok": (poisson_pairs <= dec.pair_draws) and not mean_pairs < 0,
-        "poisson_triples_ok": (poisson_triples <= dec.triple_draws) and not mean_triples < 0,
+        "poisson_pairs_ok": (poisson_pairs <= pair_draws) and not mean_pairs < 0,
+        "poisson_triples_ok": (poisson_triples <= triple_draws) and not mean_triples < 0,
         "size_concentration_ok": abs(sum_active - st.S1) <= slack,
     }
     return CouplingReport(
         contained=_within(prefix_edges, rig_edges),
         per_feature_contained=_within(draw_keys, members),
         guard_events=guards,
-        pair_draws=dec.pair_draws,
-        triple_draws=dec.triple_draws,
+        pair_draws=pair_draws,
+        triple_draws=triple_draws,
         active_size_sum=sum_active,
         poisson_pairs=poisson_pairs,
         poisson_triples=poisson_triples,
@@ -254,6 +241,16 @@ class CollectorReport:
     omega: float
 
 
+_COUPON_BLOCK = 4096  # coupons per generator call
+
+
+def _coupon_stream(rng: np.random.Generator, n: int, blocks: list[np.ndarray]):
+    """Uniform vertices of range(n), drawn from ``rng`` in blocks that are kept in ``blocks``."""
+    while True:
+        blocks.append(rng.integers(0, n, size=_COUPON_BLOCK))
+        yield from blocks[-1].tolist()
+
+
 def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
                            seed: Seed) -> CollectorReport:
     """Run the phase-structured coupon collector coupled to the construction.
@@ -261,63 +258,42 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     Phase i draws uniform vertices until the feature's active size is
     reached; the distinct vertices of the phase become the feature set.
     The coupon stream continues past the construction so that coverage
-    times beyond T are still observed.
+    times beyond T are still observed.  A T_plus that overflows (omega near
+    0) is a ValidationError.
     """
-    st = summary_stats(n, p, t_max=2)
-    if st.S1 <= 0:
-        raise ValidationError("degenerate model: S1 = 0")
-    *_, slack = sandwich_law(st, omega)
+    st, (*_, slack), active = _trial_start(n, p, omega, seed)
     s1 = st.S1
     t_minus = s1 - slack
     t_plus = s1 + slack + s1 / (omega * math.log(n))
+    if not math.isfinite(t_plus):
+        raise ValidationError(f"T_plus = {t_plus} is not finite at omega = {omega!r}")
 
-    rng_sizes = seed.child("sizes").rng()
     rng_draws = seed.child("coupons").rng()
-
-    sizes = rng_sizes.binomial(n, p.values)
-    dec = decompose_sizes(sizes)
-
-    seen_global = bytearray(n)
-    seen_count = 0
-    covered_at = -1
-    total = 0
-
-    buf = np.empty(0, dtype=np.int64)
-    buf_pos = 0
-
-    def next_draw() -> int:
-        nonlocal buf, buf_pos, total, seen_count, covered_at
-        if buf_pos >= len(buf):
-            buf = rng_draws.integers(0, n, size=4096)
-            buf_pos = 0
-        v = int(buf[buf_pos])
-        buf_pos += 1
-        total += 1
-        if not seen_global[v]:
-            seen_global[v] = 1
-            seen_count += 1
-            if seen_count == n and covered_at < 0:
-                covered_at = total
-        return v
-
-    for size in dec.active_sizes.tolist():
-        if size == 0:
-            continue
+    blocks: list[np.ndarray] = []  # the coupon stream, as drawn
+    coupons = _coupon_stream(rng_draws, n, blocks)
+    construction_draws = 0
+    for size in active[active > 0].tolist():
         phase: set[int] = set()
         while len(phase) < size:
-            phase.add(next_draw())
-
-    construction_draws = total
-    delta_ge_1 = 0 < covered_at <= construction_draws
+            phase.add(next(coupons))
+            construction_draws += 1
 
     # keep collecting on the same stream to observe the coverage time
     cap = construction_draws + 64 * n * max(1, math.ceil(math.log(max(n, 2)))) + 4096
-    while covered_at < 0 and total < cap:
-        next_draw()
-    if covered_at < 0:
+    stream = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    seen, first = np.unique(stream, return_index=True)
+    while len(seen) < n and len(stream) < cap:
+        # double the stream (up to the cap) so the repeated searches cost a constant factor
+        more = min(max(1, len(blocks)), math.ceil((cap - len(stream)) / _COUPON_BLOCK))
+        blocks += [rng_draws.integers(0, n, size=_COUPON_BLOCK) for _ in range(more)]
+        stream = np.concatenate(blocks)
+        seen, first = np.unique(stream, return_index=True)
+    if len(seen) < n or first.max() >= cap:
         raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
+    covered_at = int(first.max()) + 1
+    delta_ge_1 = covered_at <= construction_draws
 
-    sum_active = int(dec.active_sizes.sum())
+    sum_active = int(active.sum())
     events = {
         "covered_within_lower": covered_at <= t_minus,
         "covered_within_upper": covered_at <= t_plus,

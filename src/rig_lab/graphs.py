@@ -111,6 +111,8 @@ class SimpleGraph(_ArrayValue):
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
+        if n * n >= 2**63:
+            raise ValidationError(f"vertex count {n} too large: keys u * n + v need n * n < 2**63")
         try:
             pairs = np.array(list(edges))
         except ValueError:  # ragged rows
@@ -368,16 +370,3 @@ def hypergraph_to_text(h: UniformHypergraph) -> str:
     lexicographic = rows[np.lexsort(rows.T[::-1])].tolist()
     lines.extend(" ".join(map(str, he)) for he in lexicographic)
     return "\n".join(lines) + "\n"
-
-
-def hypergraph_from_text(text: str) -> UniformHypergraph:
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    if not rows:
-        raise ValidationError("empty hypergraph document")
-    n, arity, count = _int_row(rows[0], 3, "hypergraph header")
-    if len(rows) - 1 != count:
-        raise ValidationError(f"header promises {count} hyperedges, found {len(rows) - 1}")
-    h = UniformHypergraph(n, arity, [_int_row(ln, arity, "hyperedge line") for ln in rows[1:]])
-    if len(h.ranks) != count:
-        raise ValidationError(f"header promises {count} hyperedges, found {len(h.ranks)} distinct")
-    return h

@@ -57,9 +57,6 @@ class ThresholdStats:
     S1t: tuple[float, ...]
     a_n: float
 
-    def t_max(self) -> int:
-        return len(self.S1t) + 1
-
 
 def _pow_1m_p(p: np.ndarray, k: int) -> np.ndarray:
     """(1-p)^k without cancellation, for p in (0,1)."""
@@ -125,7 +122,8 @@ def sandwich_law(stats: ThresholdStats, omega: float) -> tuple[str, float, float
     identity p_hat_i = 1 - exp(-mean_i / C(n, i)).  The slack omega*sqrt(S1)
     bounds |sum of active sizes - S1| in the size-concentration guards.
     regime is "dominant-S3" when S3 > omega^2 * sqrt(S1) (the finite-n
-    surrogate for S3 >> sqrt(S1)), else "small-S3".
+    surrogate for S3 >> sqrt(S1)), else "small-S3".  An omega so large that a
+    mean or the slack overflows is a ValidationError, as is a nonpositive one.
     """
     check_omega(omega)
     s1, s3 = stats.S1, stats.S3
@@ -133,7 +131,11 @@ def sandwich_law(stats: ThresholdStats, omega: float) -> tuple[str, float, float
     regime = "dominant-S3" if s3 > omega * omega * sqrt_s1 else "small-S3"
     mean_pairs = (s1 - 3.0 * s3 - 5.0 * omega * sqrt_s1) / 2.0
     mean_triples = s3 - 2.0 * omega * sqrt_s1
-    return regime, mean_pairs, mean_triples, omega * sqrt_s1
+    slack = omega * sqrt_s1
+    if not all(map(math.isfinite, (mean_pairs, mean_triples, slack))):
+        raise ValidationError(f"omega = {omega!r} overflows the sandwich law: pair mean "
+                              f"{mean_pairs}, triple mean {mean_triples}, slack {slack}")
+    return regime, mean_pairs, mean_triples, slack
 
 
 def limit_probability(c: float) -> float:

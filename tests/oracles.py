@@ -14,11 +14,12 @@ import mpmath
 import numpy as np
 from scipy.sparse import csc_array
 
-from rig_lab import (FeatureProbabilities, OutOfRangeError, SimpleGraph, ValidationError,
+from rig_lab import (CoverageNotReached, FeatureProbabilities, OutOfRangeError, SimpleGraph,
+                     UniformHypergraph, ValidationError,
                      hamiltonicity, has_perfect_matching, is_connected, is_k_connected,
                      min_degree, summary_stats)
 from rig_lab.properties import is_biconnected
-from rig_lab.coupling import CouplingReport, decompose_sizes
+from rig_lab.coupling import CollectorReport, CouplingReport
 
 
 class DimensionMismatch(ValidationError):
@@ -630,6 +631,13 @@ def oracle_couple_feature(size, odd, n, seed):
     return SimpleGraph(n, edges), members
 
 
+def split_sizes(sizes):
+    """(active sizes, odd flags) as Python lists: a feature of size y >= 2 is active
+    and takes y mod 2 triples, a smaller one is 0 and takes nothing."""
+    active = [y if y >= 2 else 0 for y in sizes.tolist()]
+    return active, [y % 2 for y in active]
+
+
 def oracle_run_coupling_trial(n, p, omega, seed):
     """``run_coupling_trial`` on sets of edge tuples, on the same five streams."""
     st = summary_stats(n, p, t_max=2)
@@ -641,27 +649,29 @@ def oracle_run_coupling_trial(n, p, omega, seed):
     rng_pad = seed.child("padding").rng()
     rng_po = seed.child("poisson").rng()
 
-    dec = decompose_sizes(rng_sizes.binomial(n, p.values))
+    active, odd = split_sizes(rng_sizes.binomial(n, p.values))
+    pair_draws = sum((y - 3 * z) // 2 for y, z in zip(active, odd))
+    triple_draws = sum(odd)
     mean_pairs = (s1 - 3.0 * s3 - 5.0 * omega * sqrt_s1) / 2.0
     mean_triples = s3 - 2.0 * omega * sqrt_s1
     poisson_pairs = int(rng_po.poisson(max(0.0, mean_pairs)))
     poisson_triples = int(rng_po.poisson(max(0.0, mean_triples)))
-    pair_stream = _draw_subsets(n, 2, max(dec.pair_draws, poisson_pairs), rng_pairs)
-    triple_stream = _draw_subsets(n, 3, max(dec.triple_draws, poisson_triples), rng_triples)
+    pair_stream = _draw_subsets(n, 2, max(pair_draws, poisson_pairs), rng_pairs)
+    triple_stream = _draw_subsets(n, 3, max(triple_draws, poisson_triples), rng_triples)
 
     rig_edges = set()
     coupled_edges = set()
     per_feature_ok = True
     pair_off = 0
     triple_off = 0
-    for size, odd in zip(dec.active_sizes, dec.odd_flags):
+    for size, z in zip(active, odd):
         if size == 0:
             continue
-        k2 = (size - 3 * odd) // 2
+        k2 = (size - 3 * z) // 2
         pairs = pair_stream[pair_off:pair_off + k2]
-        triples = triple_stream[triple_off:triple_off + odd]
+        triples = triple_stream[triple_off:triple_off + z]
         pair_off += k2
-        triple_off += odd
+        triple_off += z
         edges, members = _assemble_feature(size, n, pairs, triples, rng_pad)
         feature_clique = clique_edges(members)
         per_feature_ok = per_feature_ok and edges <= feature_clique
@@ -672,18 +682,18 @@ def oracle_run_coupling_trial(n, p, omega, seed):
     for sub in triple_stream[:poisson_triples]:
         prefix_edges.update(clique_edges(sub))
 
-    sum_active = sum(dec.active_sizes)
+    sum_active = sum(active)
     guards = {
-        "poisson_pairs_ok": (poisson_pairs <= dec.pair_draws) and not mean_pairs < 0,
-        "poisson_triples_ok": (poisson_triples <= dec.triple_draws) and not mean_triples < 0,
+        "poisson_pairs_ok": (poisson_pairs <= pair_draws) and not mean_pairs < 0,
+        "poisson_triples_ok": (poisson_triples <= triple_draws) and not mean_triples < 0,
         "size_concentration_ok": abs(sum_active - s1) <= omega * sqrt_s1,
     }
     return CouplingReport(
         contained=prefix_edges <= rig_edges,
         per_feature_contained=per_feature_ok,
         guard_events=guards,
-        pair_draws=dec.pair_draws,
-        triple_draws=dec.triple_draws,
+        pair_draws=pair_draws,
+        triple_draws=triple_draws,
         active_size_sum=sum_active,
         poisson_pairs=poisson_pairs,
         poisson_triples=poisson_triples,
@@ -693,6 +703,77 @@ def oracle_run_coupling_trial(n, p, omega, seed):
         regime_infeasible=not (s3 > omega * omega * sqrt_s1),
         omega=omega,
     )
+
+
+def oracle_coupon_collector_trial(n, p, omega, seed):
+    """``coupon_collector_trial`` one draw at a time on the same two streams: a
+    seen-flag per vertex, and a running count of the vertices seen."""
+    st = summary_stats(n, p, t_max=2)
+    s1 = st.S1
+    slack = omega * math.sqrt(s1)
+    t_minus = s1 - slack
+    t_plus = s1 + slack + s1 / (omega * math.log(n))
+    active, _ = split_sizes(seed.child("sizes").rng().binomial(n, p.values))
+    rng_draws = seed.child("coupons").rng()
+
+    seen = bytearray(n)
+    seen_count = 0
+    covered_at = -1
+    total = 0
+    buf, buf_pos = [], 0
+
+    def next_draw():
+        nonlocal buf, buf_pos, total, seen_count, covered_at
+        if buf_pos >= len(buf):
+            buf, buf_pos = rng_draws.integers(0, n, size=4096).tolist(), 0
+        v = buf[buf_pos]
+        buf_pos += 1
+        total += 1
+        if not seen[v]:
+            seen[v] = 1
+            seen_count += 1
+            if seen_count == n and covered_at < 0:
+                covered_at = total
+        return v
+
+    for size in active:
+        phase = set()
+        while len(phase) < size:
+            phase.add(next_draw())
+    construction_draws = total
+    delta_ge_1 = 0 < covered_at <= construction_draws
+    cap = construction_draws + 64 * n * max(1, math.ceil(math.log(max(n, 2)))) + 4096
+    while covered_at < 0 and total < cap:
+        next_draw()
+    if covered_at < 0:
+        raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
+
+    sum_active = sum(active)
+    overhead_bound = s1 / (omega * math.log(n))
+    return CollectorReport(
+        total_draws=construction_draws,
+        active_size_sum=sum_active,
+        overhead=construction_draws - sum_active,
+        covered_at=covered_at,
+        events={
+            "covered_within_lower": covered_at <= t_minus,
+            "covered_within_upper": covered_at <= t_plus,
+            "finished_in_window": t_minus <= construction_draws <= t_plus,
+            "finished_within_overhead": construction_draws <= sum_active + overhead_bound,
+            "sizes_concentrated": abs(sum_active - s1) <= slack,
+        },
+        delta_ge_1=delta_ge_1,
+        t_minus=t_minus,
+        t_plus=t_plus,
+        omega=omega,
+    )
+
+
+def hypergraph_from_text(text):
+    """The hypergraph of ``hypergraph_to_text``'s format, for well-formed text."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    n, arity, _ = map(int, rows[0])
+    return UniformHypergraph(n, arity, [tuple(map(int, row)) for row in rows[1:]])
 
 
 # --- the explicit-profile scaling the planner used before its array search --

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -9,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from rig_lab import (
     CoverageNotReached,
     FeatureProbabilities,
-    RigInstance,
     Seed,
     ValidationError,
     coupon_collector_trial,
     couple_feature,
-    decompose_sizes,
     homogeneous_p_for_target,
     poissonization_test,
     project_rig,
@@ -23,36 +22,8 @@ from rig_lab import (
     sample_h_independent,
     sample_rig,
 )
-from oracles import clique_edges, oracle_couple_feature, oracle_run_coupling_trial
-
-
-def test_decompose_examples():
-    empty = decompose_sizes([0, 0, 0])
-    assert empty.pair_draws == 0 and empty.triple_draws == 0
-    single5 = decompose_sizes([5])
-    assert single5.active_sizes.tolist() == [5] and single5.odd_flags.tolist() == [1]
-    assert single5.pair_draws == 1 and single5.triple_draws == 1
-    singleton = decompose_sizes([1])
-    assert singleton.active_sizes.tolist() == [0] and singleton.pair_draws == 0
-    assert singleton.triple_draws == 0
-
-
-def test_decompose_from_instance():
-    inst = RigInstance(6, 3, (frozenset({0, 1, 2}), frozenset({4}), frozenset()))
-    dec = decompose_sizes(np.diff(inst.indptr))
-    assert dec.sizes.tolist() == [3, 1, 0]
-    assert dec.active_sizes.tolist() == [3, 0, 0]
-    assert dec.pair_draws == 0 and dec.triple_draws == 1
-
-
-@given(st.lists(st.integers(0, 50), min_size=1, max_size=30))
-@settings(max_examples=200, deadline=None)
-def test_decompose_split_is_consistent(sizes):
-    dec = decompose_sizes(sizes)
-    assert dec.pair_draws >= 0 and dec.triple_draws >= 0
-    assert 2 * dec.pair_draws + 3 * dec.triple_draws == sum(dec.active_sizes)
-    for y, z in zip(dec.active_sizes, dec.odd_flags):
-        assert z == (y % 2 if y else 0)
+from oracles import (clique_edges, oracle_coupon_collector_trial, oracle_couple_feature,
+                     oracle_run_coupling_trial, split_sizes)
 
 
 def test_couple_feature_examples():
@@ -102,11 +73,9 @@ def test_per_feature_union_distribution_matches_direct_sampling():
         inst = sample_rig(n, p, seed.child("direct", t))
         direct[frozenset(project_rig(inst).edge_list())] += 1
         rng = seed.child("coupled", t).rng()
-        sizes = rng.binomial(n, p.values)
-        dec = decompose_sizes(sizes)
         edges = set()
-        for y, z in zip(dec.active_sizes, dec.odd_flags):
-            g, members = couple_feature(int(y), int(z), n, rng)
+        for y, z in zip(*split_sizes(rng.binomial(n, p.values))):
+            g, members = couple_feature(y, z, n, rng)
             edges |= set(clique_edges(members))
         coupled[frozenset(edges)] += 1
     keys = sorted(set(direct) | set(coupled), key=sorted)
@@ -171,7 +140,9 @@ def test_run_coupling_trial_matches_set_oracle(data):
             st.sampled_from([0.2, 0.5, 0.9, 1 - 1e-12]), min_size=1, max_size=6)))
     omega = data.draw(st.sampled_from([0.1, 0.5, 2.0]))
     seed = Seed(data.draw(st.integers(0, 2**64 - 1)))
-    assert run_coupling_trial(n, p, omega, seed) == oracle_run_coupling_trial(n, p, omega, seed)
+    report = run_coupling_trial(n, p, omega, seed)
+    assert report == oracle_run_coupling_trial(n, p, omega, seed)
+    assert 2 * report.pair_draws + 3 * report.triple_draws == report.active_size_sum
 
 
 def test_run_coupling_trial_matches_set_oracle_at_guard_config():
@@ -240,13 +211,32 @@ def test_collector_coverage_cap_is_a_typed_error(monkeypatch, capsys):
     original = Seed.rng
     monkeypatch.setattr(Seed, "rng", lambda self: _NeverVertexZero(original(self))
                         if self.labels[-1] == "coupons" else original(self))
-    with pytest.raises(CoverageNotReached, match="coverage not reached"):
-        coupon_collector_trial(12, FeatureProbabilities.homogeneous(3, 0.3), 2.0, Seed(5))
+    p = FeatureProbabilities.homogeneous(3, 0.3)
+    with pytest.raises(CoverageNotReached, match="coverage not reached") as exc:
+        coupon_collector_trial(12, p, 2.0, Seed(5))
+    with pytest.raises(CoverageNotReached) as oracle_exc:
+        oracle_coupon_collector_trial(12, p, 2.0, Seed(5))
+    assert str(exc.value) == str(oracle_exc.value)  # the same cap
     assert issubclass(CoverageNotReached, ValidationError)
     rc = cli.main(["collector", "--n", "20", "--m", "20", "--p", "0.1", "--trials", "1"])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: coupon coverage not reached") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, p, trials", [
+    (2000, FeatureProbabilities.homogeneous(2000, 0.0044), 3),
+    (2, FeatureProbabilities.homogeneous(5, 0.5), 20),
+    (12, FeatureProbabilities.homogeneous(3, 1e-9), 5),  # every feature empty
+    (40, FeatureProbabilities((1 - 1e-12,)), 5),  # one feature holding every vertex
+    (10, FeatureProbabilities.homogeneous(500, 0.05), 10),  # m >> n
+], ids=["n=m=2000", "n=2", "all-empty", "one-full", "m>>n"])
+def test_collector_matches_per_draw_oracle(n, p, trials):
+    for t in range(trials):
+        seed = Seed(17).child("oracle", t)
+        report = coupon_collector_trial(n, p, 2.0, seed)
+        assert dataclasses.asdict(report) == dataclasses.asdict(
+            oracle_coupon_collector_trial(n, p, 2.0, seed))
 
 
 def test_collector_events_and_sandwich():

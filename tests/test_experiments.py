@@ -381,7 +381,7 @@ def test_cli_stats_and_gen(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # the second sandwich formula is gone
         cli.main(["stats", "--n", "50", "--m", "20", "--p", "0.05", "--variant", "linear"])
     assert exc.value.code == 2 and "--variant" in capsys.readouterr().err
-    for bad in ("inf", "nan"):
+    for bad in ("inf", "nan", "1e308"):  # 1e308 is finite, but the law's means overflow
         assert cli.main(["stats", "--n", "10", "--m", "5", "--p", "0.5", "--omega", bad]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "Traceback" not in err
@@ -395,10 +395,12 @@ def test_cli_stats_and_gen(tmp_path, capsys):
     assert "min_degree" in doc
 
 
-@pytest.mark.parametrize("edge_line", ["1 x", "0 1 2"])
-def test_cli_check_rejects_malformed_edge_list(tmp_path, capsys, edge_line):
+@pytest.mark.parametrize("text", ["3 1\n1 x\n", "3 1\n0 1 2\n", "1000000000000 0\n",
+                                  "5000000000 1\n0 4999999999\n"],
+                         ids=["1 x", "0 1 2", "n=1e12", "n=5e9"])  # n * n reaches 2**63
+def test_cli_check_rejects_malformed_edge_list(tmp_path, capsys, text):
     path = tmp_path / "bad.txt"
-    path.write_text(f"3 1\n{edge_line}\n")
+    path.write_text(text)
     rc = cli.main(["check", "--property", "kconn", "--k", "2", "--input", str(path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -549,9 +551,11 @@ def test_cli_couple_and_collector(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
-    for command in ("couple", "collector"):
-        for bad in (["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"],
-                    ["--omega", "inf"], ["--omega", "nan"]):
+    bad_inputs = [["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"],
+                  ["--omega", "inf"], ["--omega", "nan"], ["--omega", "1e308"]]
+    # 5e-324 keeps the law finite but sends the collector's T_plus to infinity
+    for command, extra in (("couple", []), ("collector", [["--omega", "5e-324"]])):
+        for bad in bad_inputs + extra:
             assert cli.main([command, "--n", "50", "--m", "50", "--p", "0.05", *bad]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and "Traceback" not in err

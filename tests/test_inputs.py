@@ -1,6 +1,6 @@
 """Fuzzing of the input boundary.
 
-The parsers and the value constructors raise only ValidationError on
+The edge-list parser and the value constructors raise only ValidationError on
 malformed input, and ``rig-lab`` exits 0 or 2 on any edge-list or config
 document, without a traceback.  Sizes inside the documents stay small
 (n, draws, trials and lambda of at most a few dozen), so every accepted
@@ -26,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rig_lab
 from rig_lab import (FeatureProbabilities, RigInstance, SimpleGraph, UniformHypergraph,
-                     ValidationError, cli, graph_from_text, hypergraph_from_text)
+                     ValidationError, cli, graph_from_text)
 
 _TOKEN = st.one_of(st.integers(-2, 14).map(str),
                    st.sampled_from(["x", "1.5", "-", "0x1", "1e2", "+3", "٣"]))
@@ -66,18 +66,6 @@ def test_graph_from_text_raises_only_validation_error(text):
     assert graph_from_text(text) == g
     header = next(ln for ln in text.splitlines() if ln.strip())
     assert g.edge_count() == int(header.split()[1])  # no repeated line was collapsed
-
-
-@given(_TEXT)
-@settings(max_examples=300, deadline=None)
-def test_hypergraph_from_text_raises_only_validation_error(text):
-    try:
-        h = hypergraph_from_text(text)
-    except ValidationError:
-        return
-    assert all(len(set(e)) == h.arity and 0 <= e[0] and e[-1] < h.n for e in h.rows().tolist())
-    header = next(ln for ln in text.splitlines() if ln.strip())
-    assert len(h.ranks) == int(header.split()[2])  # no repeated line was collapsed
 
 
 _MEMBER = st.one_of(st.integers(-2, 14), st.integers(), st.floats(), st.booleans(),
