@@ -12,7 +12,7 @@ Subcommands:
 * ``rig-lab sweep``     run a configured Monte Carlo sweep into a directory
 
 Exit codes: 0 success, 1 sweep aborted (partial outputs flushed),
-2 planning/validation error, 3 I/O error.
+2 planning/validation error or out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from .errors import PlanningError, ValidationError
@@ -42,7 +41,8 @@ from .sampling import (
     sample_h_independent,
     sample_rig,
 )
-from .thresholds import check_omega, default_omega, sandwich_law, summary_stats
+from .thresholds import (check_omega, default_omega, poisson_hit_probability, sandwich_law,
+                         summary_stats)
 
 EXIT_OK = 0
 EXIT_ABORTED = 1
@@ -63,8 +63,8 @@ def _load_json(path: str, shape: tuple[type, ...], what: str):
     return doc
 
 
-def _load_probabilities(args, m_flag="m", p_flag="p", profile_flag="profile") -> FeatureProbabilities:
-    profile_path = getattr(args, profile_flag, None)
+def _load_probabilities(args) -> FeatureProbabilities:
+    profile_path = args.profile
     if profile_path:
         doc = _load_json(profile_path, (dict, list), "profile")
         values = doc.get("values") if isinstance(doc, dict) else doc
@@ -73,11 +73,9 @@ def _load_probabilities(args, m_flag="m", p_flag="p", profile_flag="profile") ->
             raise ValidationError(f"profile {profile_path} needs a list of numbers, "
                                   f"bare or under a \"values\" key")
         return FeatureProbabilities(values)
-    m = getattr(args, m_flag)
-    p = getattr(args, p_flag)
-    if m is None or p is None:
+    if args.m is None or args.p is None:
         raise ValidationError("provide --m and --p, or --profile with a JSON value list")
-    return FeatureProbabilities.homogeneous(m, p)
+    return FeatureProbabilities.homogeneous(args.m, args.p)
 
 
 _GEN_MODELS = ("rig", "independent", "draws", "poisson")
@@ -159,11 +157,9 @@ def _cmd_stats(args) -> int:
         "a_n": stats.a_n,
         "pair_mean": pair_mean,
         "triple_mean": triple_mean,
-        # Poisson(max(0, mean_i)) uniform draws of i-sets hit a given one with probability
-        # p_hat_i = 1 - exp(-max(0, mean_i) / C(n, i)) (criterion 2); n = 2 has no 3-sets
-        "p_hat2": -math.expm1(-max(0.0, pair_mean) / math.comb(args.n, 2)),
-        "p_hat3": (-math.expm1(-max(0.0, triple_mean) / math.comb(args.n, 3)) if args.n > 2
-                   else 0.0),
+        # the edge probabilities of the sandwich graph (criterion 2)
+        "p_hat2": poisson_hit_probability(args.n, 2, pair_mean),
+        "p_hat3": poisson_hit_probability(args.n, 3, triple_mean),
         "regime": regime,
         "omega": omega,
     }
@@ -345,6 +341,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PlanningError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PLANNING
+    except MemoryError as exc:  # e.g. numpy refusing an array for a huge vertex count
+        sys.stderr.write(f"error: out of memory: {exc}\n")
         return EXIT_PLANNING
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")

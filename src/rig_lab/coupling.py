@@ -50,7 +50,7 @@ from .sampling import (
     sample_g_star_poisson,
     sample_h_independent,
 )
-from .thresholds import ThresholdStats, sandwich_law, summary_stats
+from .thresholds import ThresholdStats, poisson_hit_probability, sandwich_law, summary_stats
 
 
 def _trial_start(n: int, p: FeatureProbabilities, omega: float,
@@ -333,8 +333,12 @@ class PoissonizationReport:
     histogram: dict[int, tuple[int, int]] = field(repr=False, default_factory=dict)
 
 
-def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
-                        alpha: float = 0.01) -> PoissonizationReport:
+POISSON_ALPHA = 0.01  # the chi-square test's level
+_MIN_EXPECTED = 5.0  # pooled histogram bins hold at least this expected count
+
+
+def poissonization_test(n: int, arity: int, lam: float, trials: int,
+                        seed: Seed) -> PoissonizationReport:
     """Paired sampling of both models with a chi-square homogeneity test.
 
     The Poissonized draws-with-repetition model should match the
@@ -347,7 +351,7 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
     if trials < 1000:
         raise ValidationError(f"need at least 1000 trials, got {trials}")
     total = math.comb(n, arity)
-    q = -math.expm1(-lam / total) if total > 0 else 0.0
+    q = poisson_hit_probability(n, arity, lam)
     sigma = math.sqrt(q * (1.0 - q) / trials) if 0.0 < q < 1.0 else float("inf")
     scored = sigma != float("inf") and total <= 200_000
     counts = np.zeros((2, trials), dtype=np.int64)
@@ -375,8 +379,8 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
         chi2_statistic=chi2,
         chi2_dof=dof,
         p_value=p_value,
-        reject=p_value < alpha,
-        alpha=alpha,
+        reject=p_value < POISSON_ALPHA,
+        alpha=POISSON_ALPHA,
         max_abs_z_draws=z[0],
         max_abs_z_independent=z[1],
         mean_count_draws=means[0],
@@ -385,8 +389,7 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int, seed: Seed,
     )
 
 
-def _chi2_homogeneity(hist: dict[int, tuple[int, int]],
-                      min_expected: float = 5.0) -> tuple[float, int, float]:
+def _chi2_homogeneity(hist: dict[int, tuple[int, int]]) -> tuple[float, int, float]:
     """Two-sample chi-square on a shared histogram, pooling sparse bins."""
     keys = sorted(hist)
     pooled: list[tuple[int, int]] = []
@@ -399,7 +402,7 @@ def _chi2_homogeneity(hist: dict[int, tuple[int, int]],
         acc[0] += hist[k][0]
         acc[1] += hist[k][1]
         expected_share = (acc[0] + acc[1]) / (n_a + n_b)
-        if expected_share * min(n_a, n_b) >= min_expected:
+        if expected_share * min(n_a, n_b) >= _MIN_EXPECTED:
             pooled.append((acc[0], acc[1]))
             acc = [0, 0]
     if acc[0] or acc[1]:

@@ -47,7 +47,7 @@ from .thresholds import (
     default_omega,
     homogeneous_p_for_target,
     limit_probability,
-    per_feature_mass,
+    refined_p_for_target,
     refined_threshold_rhs,
     summary_stats,
 )
@@ -57,30 +57,27 @@ RESULTS_HEADER = ("theorem", "c", "n", "m", "trial", "seed", "verdict", "unknown
 
 @dataclass(frozen=True)
 class LawSpec:
-    """How one target law plans its model and judges a sample."""
+    """How one target law plans its model and judges a sample.  A "-refined"
+    law plans by its base name's refined homogeneous display, any other by
+    S1 = n*(ln n + (level - 1)*ln ln n + c), level being its min-degree level."""
 
     name: str
     needs_k: bool
     doubles_vertices: bool
-    lnln_multiplier: int | None  # -1 encodes (k-1); None marks the refined displays
-    refined_kind: str | None
     limit_style: str  # "f" (double-exponential law) or "zero-one"
     delta_level: int  # min-degree level implied by the property; 0 means "use k"
 
 
-_LAWS = {
-    "connectivity": LawSpec("connectivity", False, False, 0, None, "f", 1),
-    "k-connectivity": LawSpec("k-connectivity", True, False, -1, None, "zero-one", 0),
-    "perfect-matching": LawSpec("perfect-matching", False, True, 0, None, "f", 1),
-    "hamiltonicity": LawSpec("hamiltonicity", False, False, 1, None, "zero-one", 2),
-    "hamiltonicity-refined": LawSpec(
-        "hamiltonicity-refined", False, False, None, "hamiltonicity", "zero-one", 2),
-    "k-connectivity-refined": LawSpec(
-        "k-connectivity-refined", True, False, None, "k-connectivity", "zero-one", 0),
-    "min-degree": LawSpec("min-degree", False, False, 0, None, "f", 1),
-    "min-degree-refined": LawSpec(
-        "min-degree-refined", True, False, None, "min-degree", "zero-one", 0),
-}
+_LAWS = {spec.name: spec for spec in (
+    LawSpec("connectivity", False, False, "f", 1),
+    LawSpec("k-connectivity", True, False, "zero-one", 0),
+    LawSpec("perfect-matching", False, True, "f", 1),
+    LawSpec("hamiltonicity", False, False, "zero-one", 2),
+    LawSpec("hamiltonicity-refined", False, False, "zero-one", 2),
+    LawSpec("k-connectivity-refined", True, False, "zero-one", 0),
+    LawSpec("min-degree", False, False, "f", 1),
+    LawSpec("min-degree-refined", True, False, "zero-one", 0),
+)}
 
 _TAG_RE = re.compile(r"^([a-z-]+?)(?:\((\d+)\))?$")
 
@@ -101,8 +98,8 @@ def parse_law_tag(tag: str) -> tuple[LawSpec, int]:
     return spec, k
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -127,8 +124,8 @@ class ExperimentConfig:
             raise ValidationError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.hc_budget < 0:
             raise ValidationError(f"hc_budget must be nonnegative, got {self.hc_budget}")
-        if not isinstance(self.c_grid, (list, tuple)) or not all(map(_is_number, self.c_grid)):
-            raise ValidationError(f"c_grid must be a list of numbers, got {self.c_grid!r}")
+        if not isinstance(self.c_grid, (list, tuple)) or not all(map(_is_finite, self.c_grid)):
+            raise ValidationError(f"c_grid must be a list of finite numbers, got {self.c_grid!r}")
         if not isinstance(self.profile, dict):
             raise ValidationError(f"profile must be an object, got {self.profile!r}")
         if self.omega is not None:
@@ -158,8 +155,9 @@ class ExperimentConfig:
             vals = self.profile.get("values")
             if not isinstance(vals, (list, tuple)) or len(vals) != self.m:
                 raise ValidationError("explicit profile needs exactly m base values")
-            if not all(map(_is_number, vals)):
-                raise ValidationError(f"explicit profile values must be numbers, got {vals!r}")
+            if not all(_is_finite(v) and v > 0 for v in vals):
+                raise ValidationError(
+                    f"explicit profile values must be finite numbers > 0, got {vals!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -252,8 +250,12 @@ class SweepResult:
     wall_seconds: float
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+_WILSON_Z = 1.959963984540054  # the standard normal's 97.5% quantile
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved at frequencies near 0 and 1."""
+    z = _WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     phat = successes / trials
@@ -276,53 +278,27 @@ def _predicted_value(spec: LawSpec, c: float) -> float | None:
     return None
 
 
-def _solve_refined(n: int, m: int, kind: str, k: int, c: float) -> float:
-    """Solve m*g(p) = numerator(n, p) + c for p by bisection with sign search."""
-
-    def h(p: float) -> float:
-        return m * per_feature_mass(n, p) - refined_threshold_rhs(n, p, kind, k) - c
-
-    lo, hi = 1e-15, 1.0 - 1e-15
-    if h(lo) > 0 or h(hi) < 0:
-        raise OutOfRangeError(
-            f"refined target not bracketed on (0,1) at n={n}, m={m}, c={c}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if h(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(lo, 1e-300):
-            break
-    p = 0.5 * (lo + hi)
-    target = (refined_threshold_rhs(n, p, kind, k) + c) / m
-    if target <= 0 or abs(per_feature_mass(n, p) - target) / target > 1e-8:
-        raise OutOfRangeError(f"refined solve residual too large at n={n}, m={m}, c={c}")
-    return p
-
-
 def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoint:
     """Resolve one grid value into a fully specified model."""
     spec, k = parse_law_tag(config.theorem)
     n = 2 * config.n if spec.doubles_vertices else config.n
     m = config.m
     try:
-        if spec.refined_kind is not None:
+        if spec.name.endswith("-refined"):
             if config.profile.get("kind") != "homogeneous":
                 raise ValidationError(
                     f"law {spec.name!r} is a homogeneous display; explicit profiles not supported")
-            p_scalar = _solve_refined(n, m, spec.refined_kind, k, c)
+            kind = spec.name.removesuffix("-refined")
+            p_scalar = refined_p_for_target(n, m, kind, k, c)
             probs = FeatureProbabilities.homogeneous(m, p_scalar)
-            s1_target = n * (refined_threshold_rhs(n, p_scalar, spec.refined_kind, k) + c)
+            s1_target = n * (refined_threshold_rhs(n, p_scalar, kind, k) + c)
         else:
-            mult = spec.lnln_multiplier
-            shift = (k - 1 if mult == -1 else mult) * math.log(math.log(n))
+            shift = ((spec.delta_level or k) - 1) * math.log(math.log(n))
             s1_target = n * (math.log(n) + shift + c)
-            if s1_target <= 0:
+            if not s1_target > 0:
                 raise OutOfRangeError(f"S1 target {s1_target} not positive")
             if config.profile.get("kind") == "homogeneous":
-                rhs = s1_target / (n * m)
-                p_scalar = homogeneous_p_for_target(n, m, rhs)
+                p_scalar = homogeneous_p_for_target(n, m, s1_target / (n * m))
                 probs = FeatureProbabilities.homogeneous(m, p_scalar)
             else:
                 probs = _scale_explicit(n, tuple(config.profile["values"]), s1_target)
@@ -364,18 +340,17 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
     bound is below the level, and only otherwise projects the sample for its
     checker.
     """
-    name = spec.name
-    level = k if spec.delta_level == 0 else spec.delta_level
+    name = spec.name.removesuffix("-refined")
+    level = spec.delta_level or k
     bounds = _degree_bounds(inst)
     covered = bool(bounds.min() > 0)  # min degree >= 1
-    k_connectivity = name in ("k-connectivity", "k-connectivity-refined")
-    if name == "connectivity" or (k_connectivity and k == 1):
+    if name == "connectivity" or (name == "k-connectivity" and k == 1):
         # kappa >= 1 needs two vertices, as in is_k_connected; is_connected does not
-        ok = (inst.n > 1 or not k_connectivity) and _incidence_connected(inst)
+        ok = (inst.n > 1 or name == "connectivity") and _incidence_connected(inst)
         if ok and not covered:
             raise AssertionError("connected graph with an isolated vertex")
         return ("yes" if ok else "no"), covered, 0, 0.0
-    if name in ("min-degree", "min-degree-refined") and level == 1:
+    if name == "min-degree" and level == 1:
         return ("yes" if covered else "no"), covered, 0, 0.0
     if inst.n >= 3 and bounds.min() < level:  # below 3 vertices the checkers validate n
         return "no", False, 0, 0.0
@@ -383,7 +358,7 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
     g = project_rig(inst)
     project_seconds = time.perf_counter() - start
     degree_ok = min_degree(g) >= level
-    if k_connectivity:
+    if name == "k-connectivity":
         ok = is_k_connected(g, k)
         if ok and not degree_ok:
             raise AssertionError(f"{k}-connected graph with min degree below {k}")
@@ -391,16 +366,14 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
         ok = has_perfect_matching(g)
         if ok and not degree_ok:
             raise AssertionError("perfect matching with an isolated vertex")
-    elif name in ("hamiltonicity", "hamiltonicity-refined"):
+    elif name == "hamiltonicity":
         result = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc"))
         cycle = result.certificate  # a Hamilton cycle makes g 2-connected
         if result.verdict == "yes" and not (degree_ok and cycle and _is_hamilton_cycle(g, cycle)):
             raise AssertionError("Hamiltonian graph that is not 2-connected, or no Hamilton cycle")
         return result.verdict, degree_ok, result.effort, project_seconds
-    elif name == "min-degree-refined":
+    else:  # min-degree at a level above 1
         ok = degree_ok
-    else:
-        raise AssertionError(f"unhandled law {name}")
     return ("yes" if ok else "no"), degree_ok, 0, project_seconds
 
 

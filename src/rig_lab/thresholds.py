@@ -158,6 +158,28 @@ def per_feature_mass(n: int, p: float) -> float:
     return p * -math.expm1((n - 1) * math.log1p(-p))
 
 
+def poisson_hit_probability(n: int, i: int, mean: float) -> float:
+    """Probability that Poisson(max(0, mean)) uniform draws of i-subsets of n
+    vertices hit a given one: 1 - exp(-max(0, mean) / C(n, i)), the
+    Poissonization identity, or 0 when there is no i-subset."""
+    subsets = math.comb(n, i)
+    return -math.expm1(-max(mean, 0.0) / subsets) if subsets else 0.0
+
+
+def _bisect(f, lo: float, hi: float, rel: float) -> float:
+    """Midpoint of [lo, hi] after halving it around the root of an increasing f
+    (f(mid) <= 0 keeps lo) until hi - lo <= rel * max(lo, 1e-300), at most 200 times."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= rel * max(lo, 1e-300):
+            break
+    return 0.5 * (lo + hi)
+
+
 def homogeneous_p_for_target(n: int, m: int, rhs: float) -> float:
     """Solve p*(1 - (1-p)^(n-1)) = rhs for p in (0,1) by bisection.
 
@@ -175,18 +197,9 @@ def homogeneous_p_for_target(n: int, m: int, rhs: float) -> float:
             f"at n={n}, m={m}"
         )
     # g(p) <= p, so lo = rhs keeps g(lo) <= rhs; g(1) = 1 > rhs
-    lo, hi = rhs, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if per_feature_mass(n, mid) <= rhs:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(lo, 1e-300):
-            break
-    p = 0.5 * (lo + hi)
+    p = _bisect(lambda q: per_feature_mass(n, q) - rhs, rhs, 1.0, 1e-12)
     resid = abs(per_feature_mass(n, p) - rhs) / rhs
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise OutOfRangeError(f"bisection residual {resid:.3e} exceeds 1e-10 for target {rhs}")
     return p
 
@@ -197,26 +210,19 @@ def _scale_explicit(n: int, base: tuple[float, ...], s1_target: float) -> Featur
     base = np.asarray(base, dtype=np.float64)
 
     def scaled(scale: float) -> np.ndarray:
-        # fmax, like the builtin max it replaced, clips a NaN entry to 1e-300
         return np.minimum(1.0 - 1e-12, np.fmax(1e-300, scale * base))
 
+    def excess(scale: float) -> float:
+        return _s1(n, scaled(scale)) - s1_target
+
     hi = 1.0
-    while _s1(n, scaled(hi)) < s1_target:
+    while excess(hi) < 0:
         hi *= 2.0
         if hi > 1e9:
             raise OutOfRangeError(f"explicit profile cannot reach S1 target {s1_target}")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _s1(n, scaled(mid)) <= s1_target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(hi, 1e-300):
-            break
-    probs = scaled(0.5 * (lo + hi))
+    probs = scaled(_bisect(excess, 0.0, hi, 1e-13))
     resid = abs(_s1(n, probs) - s1_target) / s1_target
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise OutOfRangeError(
             f"profile scaling residual {resid:.2e} exceeds 1e-8 for S1 target {s1_target}")
     return FeatureProbabilities(probs)
@@ -248,3 +254,21 @@ def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:
     else:
         raise ValidationError(f"unknown kind {kind!r}")
     return math.log(n) + math.log(max(1.0, inner))
+
+
+def refined_p_for_target(n: int, m: int, kind: str, k: int, c: float) -> float:
+    """Solve m*g(p) = refined_threshold_rhs(n, p, kind, k) + c for p in (0,1)
+    by bisection, with g = per_feature_mass; relative tolerance 1e-13 on p and
+    a residual check of 1e-8 on the target."""
+
+    def h(p: float) -> float:
+        return m * per_feature_mass(n, p) - refined_threshold_rhs(n, p, kind, k) - c
+
+    lo, hi = 1e-15, 1.0 - 1e-15
+    if not h(lo) <= 0 <= h(hi):
+        raise OutOfRangeError(f"refined target not bracketed on (0,1) at n={n}, m={m}, c={c}")
+    p = _bisect(h, lo, hi, 1e-13)
+    target = (refined_threshold_rhs(n, p, kind, k) + c) / m
+    if not (target > 0 and abs(per_feature_mass(n, p) - target) / target <= 1e-8):
+        raise OutOfRangeError(f"refined solve residual too large at n={n}, m={m}, c={c}")
+    return p

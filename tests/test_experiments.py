@@ -127,6 +127,10 @@ def test_plan_point_refined_laws():
     with pytest.raises(PlanningError):
         plan_point(make_config(theorem="hamiltonicity-refined", n=100, m=100,
                                profile={"kind": "explicit", "values": [0.01] * 100}), 0.0)
+    # a NaN residual fails the solver's bracket and residual checks
+    for law in ("hamiltonicity-refined", "k-connectivity-refined(2)", "min-degree-refined(3)"):
+        with pytest.raises(PlanningError):
+            plan_point(make_config(theorem=law, n=100, m=40), math.nan)
 
 
 def test_run_sweep_single_trial():
@@ -407,6 +411,18 @@ def test_cli_check_rejects_malformed_edge_list(tmp_path, capsys, text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_reports_memory_error(tmp_path, capsys, monkeypatch):
+    def refuse(text):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(cli, "graph_from_text", refuse)
+    path = tmp_path / "g.txt"
+    path.write_text("1000000000 0\n")
+    assert cli.main(["check", "--property", "mindeg", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
+
+
 @pytest.mark.parametrize("flags, rejected", [(["--property", "audit"], "'audit'"),
                                              (["--property", "pm", "--gamma", "0.6"], "--gamma")])
 def test_cli_check_rejects_removed_audit_flags(tmp_path, capsys, flags, rejected):
@@ -507,10 +523,17 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     ("theorem", 5), ("omega", "x"), ("profile", {"kind": "explicit", "values": [0.01] * 39 + ["a"]}),
     ("experiment_id", 1.5), ("experiment_id", [1]), ("hc_budget", -1),
     ("omega", math.inf), ("omega", math.nan),  # json writes Infinity and NaN, and reads them back
+    *(("profile", {"kind": "explicit", "values": [0.01] * 39 + [bad]})
+      for bad in (0.0, -0.01, math.nan, math.inf)),
+    # a NaN c on a refined law, and on an explicit profile
+    (None, {"theorem": "hamiltonicity-refined", "n": 100, "c_grid": [0.0, math.nan]}),
+    (None, {"theorem": "k-connectivity(2)", "c_grid": [0.0, math.nan],
+            "profile": {"kind": "explicit", "values": [1.0, 4.0] * 20}}),
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
-           "trials_per_point": 2, "master_seed": 5, field: value}
+           "trials_per_point": 2, "master_seed": 5}
+    cfg.update({field: value} if field else value)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
