@@ -11,8 +11,15 @@ Subcommands:
 * ``rig-lab poisson-check`` paired test of the Poissonization identity
 * ``rig-lab sweep``     run a configured Monte Carlo sweep into a directory
 
+Each input is declared once: gen's parameters in one table whose names are
+both its flags and its ``--config`` keys (a flag wins over the config, a config
+value over the default, and null means unset), and the model flags
+``--n --m --p --profile --omega`` once for ``stats``, ``couple`` and
+``collector``, the last two sharing one command body.
+
 Exit codes: 0 success, 1 sweep aborted (partial outputs flushed),
-2 planning/validation error or out of memory, 3 I/O error.
+2 planning/validation error (a count past the int64 keys or numpy's arrays
+included) or out of memory, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -64,13 +71,12 @@ def _load_json(path: str, shape: tuple[type, ...], what: str):
 
 
 def _load_probabilities(args) -> FeatureProbabilities:
-    profile_path = args.profile
-    if profile_path:
-        doc = _load_json(profile_path, (dict, list), "profile")
+    if args.profile:
+        doc = _load_json(args.profile, (dict, list), "profile")
         values = doc.get("values") if isinstance(doc, dict) else doc
         if not isinstance(values, list) or not all(
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            raise ValidationError(f"profile {profile_path} needs a list of numbers, "
+            raise ValidationError(f"profile {args.profile} needs a list of numbers, "
                                   f"bare or under a \"values\" key")
         return FeatureProbabilities(values)
     if args.m is None or args.p is None:
@@ -79,48 +85,39 @@ def _load_probabilities(args) -> FeatureProbabilities:
 
 
 _GEN_MODELS = ("rig", "independent", "draws", "poisson")
-_GEN_PARAMS = {"model": str, "n": int, "m": int, "p": float, "profile": str, "arity": int,
-               "phat": float, "draws": int, "lam": float, "hypergraph": bool, "seed": int,
-               "out": str}
+# gen's parameters, name: (type, default), each a flag and a --config key
+_GEN_PARAMS = {"model": (str, None), "n": (int, None), "m": (int, None), "p": (float, None),
+               "profile": (str, None), "arity": (int, 2), "phat": (float, 0.0),
+               "draws": (int, 0), "lam": (float, 0.0), "hypergraph": (bool, False),
+               "seed": (int, 0), "out": (str, None)}
+_GEN_HELP = {"profile": "JSON file with explicit probability values",
+             "hypergraph": "emit the hypergraph instead of its projection"}
 
 
-def _merge_gen_config(args) -> None:
-    """Fill parameters from a JSON config; explicit flags keep precedence."""
-    if not args.config:
-        if args.model is None or args.n is None:
-            raise ValidationError("gen needs --model and --n (flags or --config)")
-        return
-    doc = _load_json(args.config, (dict,), "gen config")
+def _resolve_gen_params(args) -> None:
+    """Set every gen parameter that no flag gave from the config, else its default."""
+    doc = _load_json(args.config, (dict,), "gen config") if args.config else {}
     unknown = set(doc) - set(_GEN_PARAMS)
     if unknown:
         raise ValidationError(f"unknown gen config fields: {sorted(unknown)}")
-    for key, value in doc.items():
-        kind = _GEN_PARAMS[key]
+    for key, (kind, default) in _GEN_PARAMS.items():
+        value = doc.get(key)
         accepted = (int, float) if kind is float else kind
         if value is not None and (not isinstance(value, accepted)
                                   or isinstance(value, bool) and kind is not bool):
             raise ValidationError(f"gen config field {key!r} must be {kind.__name__}, "
                                   f"got {value!r}")
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+        if not hasattr(args, key):  # no flag given
+            setattr(args, key, default if value is None else value)
     if args.model is None or args.n is None:
-        raise ValidationError("gen needs model and n (flags or config)")
+        raise ValidationError("gen needs --model and --n (flags or --config)")
     if args.model not in _GEN_MODELS:
         raise ValidationError(f"gen config model must be one of {list(_GEN_MODELS)}, "
                               f"got {args.model!r}")
 
 
-def _apply_gen_defaults(args) -> None:
-    defaults = (("arity", 2), ("phat", 0.0), ("draws", 0), ("lam", 0.0),
-                ("seed", 0), ("hypergraph", False))
-    for key, default in defaults:
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-
-
 def _cmd_gen(args) -> int:
-    _merge_gen_config(args)
-    _apply_gen_defaults(args)
+    _resolve_gen_params(args)
     seed = Seed(args.seed)
     if args.model == "rig":
         probs = _load_probabilities(args)
@@ -139,6 +136,11 @@ def _cmd_gen(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _print_json(doc: dict, sort_keys: bool = False) -> int:
+    print(json.dumps(doc, indent=2, sort_keys=sort_keys))
     return EXIT_OK
 
 
@@ -163,9 +165,7 @@ def _cmd_stats(args) -> int:
         "regime": regime,
         "omega": omega,
     }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return EXIT_OK
+    return _print_json(doc)
 
 
 def _cmd_check(args) -> int:
@@ -179,62 +179,38 @@ def _cmd_check(args) -> int:
         doc = {"property": "pm", "verdict": has_perfect_matching(g)}
     else:  # hc
         verdict = hamiltonicity(g, budget=args.budget, seed=Seed(args.seed).child("check", "hc"))
-        doc = {
-            "property": "hc",
-            "verdict": verdict.verdict,
-            "certificate": list(verdict.certificate) if verdict.certificate else None,
-            "effort": verdict.effort,
-        }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return EXIT_OK
+        doc = {"property": "hc", "verdict": verdict.verdict,
+               "certificate": list(verdict.certificate) if verdict.certificate else None,
+               "effort": verdict.effort}
+    return _print_json(doc)
 
 
-def _trial_run(args) -> tuple[FeatureProbabilities, float]:
-    """Profile and omega of a couple or collector run, checked before any output."""
-    probs = _load_probabilities(args)
+# command: (trial function, its summary counts: name -> whether a report counts)
+_TRIAL_COMMANDS = {
+    "couple": (run_coupling_trial, {
+        "guards_all_ok": lambda r: all(r.guard_events.values()),
+        "contained_given_guards": lambda r: all(r.guard_events.values()) and r.contained,
+    }),
+    "collector": (coupon_collector_trial, {"delta_ge_1": lambda r: r.delta_ge_1}),
+}
+
+
+def _cmd_trials(args) -> int:
+    """One JSON line per couple or collector trial, then a summary line."""
+    trial, counts = _TRIAL_COMMANDS[args.command]
+    probs = _load_probabilities(args)  # every input is checked before any output
     if args.trials < 0:
         raise ValidationError(f"--trials must be nonnegative, got {args.trials}")
     omega = args.omega if args.omega is not None else default_omega(args.n)
     check_omega(omega)
-    return probs, omega
-
-
-def _cmd_couple(args) -> int:
-    probs, omega = _trial_run(args)
     seed = Seed(args.seed)
-    all_guards = 0
-    contained = 0
+    summary = {"trials": args.trials, "omega": omega, **dict.fromkeys(counts, 0)}
     for t in range(args.trials):
-        report = run_coupling_trial(args.n, probs, omega, seed.child("couple", t))
-        doc = dataclasses.asdict(report)
-        doc["trial"] = t
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-        if all(report.guard_events.values()):
-            all_guards += 1
-            contained += 1 if report.contained else 0
-    summary = {
-        "trials": args.trials,
-        "omega": omega,
-        "guards_all_ok": all_guards,
-        "contained_given_guards": contained,
-    }
-    sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
-    return EXIT_OK
-
-
-def _cmd_collector(args) -> int:
-    probs, omega = _trial_run(args)
-    seed = Seed(args.seed)
-    delta_ok = 0
-    for t in range(args.trials):
-        report = coupon_collector_trial(args.n, probs, omega, seed.child("collector", t))
-        doc = dataclasses.asdict(report)
-        doc["trial"] = t
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-        delta_ok += 1 if report.delta_ge_1 else 0
-    summary = {"trials": args.trials, "omega": omega, "delta_ge_1": delta_ok}
-    sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+        report = trial(args.n, probs, omega, seed.child(args.command, t))
+        print(json.dumps({**dataclasses.asdict(report), "trial": t}, sort_keys=True))
+        for name, holds in counts.items():
+            summary[name] += 1 if holds(report) else 0
+    print(json.dumps({"summary": summary}, sort_keys=True))
     return EXIT_OK
 
 
@@ -243,9 +219,7 @@ def _cmd_poisson_check(args) -> int:
                                  Seed(args.seed).child("poisson-check"))
     doc = dataclasses.asdict(report)
     doc.pop("histogram", None)
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
-    return EXIT_OK
+    return _print_json(doc, sort_keys=True)
 
 
 def _cmd_sweep(args) -> int:
@@ -259,8 +233,7 @@ def _cmd_sweep(args) -> int:
         emit_outputs(exc.partial, args.out)
         sys.stderr.write(f"error: {exc} (partial results flushed to {args.out})\n")
         return EXIT_ABORTED
-    written = emit_outputs(result, args.out)
-    for path in written:
+    for path in emit_outputs(result, args.out):
         sys.stderr.write(f"wrote {path}\n")
     return EXIT_OK
 
@@ -270,31 +243,30 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Random intersection graph laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="sample a model and emit edge-list text")
-    gen.add_argument("--model", choices=_GEN_MODELS)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--profile", help="JSON file with explicit probability values")
-    gen.add_argument("--arity", type=int, default=None)
-    gen.add_argument("--phat", type=float, default=None)
-    gen.add_argument("--draws", type=int, default=None)
-    gen.add_argument("--lam", type=float, default=None)
-    gen.add_argument("--hypergraph", action="store_const", const=True, default=None,
-                     help="emit the hypergraph instead of its projection")
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--config", help="JSON file supplying any of the flags above")
-    gen.add_argument("--out")
+    gen = sub.add_parser("gen", help="sample a model and emit edge-list text",
+                         argument_default=argparse.SUPPRESS)  # an absent flag leaves no attribute
+    for name, (kind, _) in _GEN_PARAMS.items():
+        if kind is bool:
+            gen.add_argument(f"--{name}", action="store_true", help=_GEN_HELP.get(name))
+        else:
+            gen.add_argument(f"--{name}", type=kind, help=_GEN_HELP.get(name),
+                             choices=_GEN_MODELS if name == "model" else None)
+    gen.add_argument("--config", default=None, help="JSON file supplying any of the flags above")
     gen.set_defaults(func=_cmd_gen)
 
-    stats = sub.add_parser("stats", help="print summary statistics as JSON")
-    stats.add_argument("--n", type=int, required=True)
-    stats.add_argument("--m", type=int)
-    stats.add_argument("--p", type=float)
-    stats.add_argument("--profile")
-    stats.add_argument("--t-max", type=int, default=None)
-    stats.add_argument("--omega", type=float, default=None)
-    stats.set_defaults(func=_cmd_stats)
+    def model_command(name: str, func, help_text: str) -> argparse.ArgumentParser:
+        """A subcommand reading one model from --n and --m --p or --profile, with --omega."""
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--n", type=int, required=True)
+        command.add_argument("--m", type=int)
+        command.add_argument("--p", type=float)
+        command.add_argument("--profile", help=_GEN_HELP["profile"])
+        command.add_argument("--omega", type=float)
+        command.set_defaults(func=func)
+        return command
+
+    stats = model_command("stats", _cmd_stats, "print summary statistics as JSON")
+    stats.add_argument("--t-max", type=int)
 
     check = sub.add_parser("check", help="decide a property of an edge-list file")
     check.add_argument("--property", choices=["mindeg", "kconn", "pm", "hc"], required=True)
@@ -304,17 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=_cmd_check)
 
-    for name, func, help_text in (("couple", _cmd_couple, "run coupling-chain trials"),
-                                  ("collector", _cmd_collector, "run coupon-collector trials")):
-        trials = sub.add_parser(name, help=help_text)
-        trials.add_argument("--n", type=int, required=True)
-        trials.add_argument("--m", type=int)
-        trials.add_argument("--p", type=float)
-        trials.add_argument("--profile")
-        trials.add_argument("--omega", type=float, default=None)
+    for name, help_text in (("couple", "run coupling-chain trials"),
+                            ("collector", "run coupon-collector trials")):
+        trials = model_command(name, _cmd_trials, help_text)
         trials.add_argument("--trials", type=int, default=10)
         trials.add_argument("--seed", type=int, default=0)
-        trials.set_defaults(func=func)
 
     pz = sub.add_parser("poisson-check", help="paired test of the Poissonization identity")
     pz.add_argument("--n", type=int, required=True)

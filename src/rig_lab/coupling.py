@@ -40,7 +40,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .errors import CoverageNotReached, ValidationError
-from .graphs import RigInstance, SimpleGraph, _sorted_rows, _unique_keys, project_rig
+from .graphs import (RigInstance, SimpleGraph, _check_key_range, _sorted_rows, _unique_keys,
+                     project_rig)
 from .sampling import (
     FeatureProbabilities,
     Seed,
@@ -58,6 +59,7 @@ def _trial_start(n: int, p: FeatureProbabilities, omega: float,
     """What both trials start from: the stats, ``sandwich_law`` at omega, and each
     feature's active size -- its Binomial(n, p_i) size on the ``sizes`` stream, or 0
     below 2 (singletons make no edges)."""
+    _check_key_range(n, p.m)
     st = summary_stats(n, p, t_max=2)
     if st.S1 <= 0:
         raise ValidationError("degenerate model: S1 = 0")

@@ -22,7 +22,7 @@ import numbers
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from . import __version__
 from .errors import OutOfRangeError, PlanningError, ValidationError
-from .graphs import RigInstance, project_rig
+from .graphs import RigInstance, _check_key_range, project_rig
 from .properties import (
     DEFAULT_HC_BUDGET,
     _is_hamilton_cycle,
@@ -42,6 +42,7 @@ from .properties import (
 )
 from .sampling import FeatureProbabilities, Seed, _encode_label, sample_rig
 from .thresholds import (
+    _is_finite,
     _scale_explicit,
     check_omega,
     default_omega,
@@ -98,10 +99,6 @@ def parse_law_tag(tag: str) -> tuple[LawSpec, int]:
     return spec, k
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     theorem: str
@@ -140,6 +137,7 @@ class ExperimentConfig:
         parse_law_tag(self.theorem)
         if self.n < 2 or self.m < 1:
             raise ValidationError("need n >= 2 and m >= 1")
+        _check_key_range(self.vertices_per_trial, self.m)
         grid = tuple(float(c) for c in self.c_grid)
         object.__setattr__(self, "c_grid", grid)
         if not grid:
@@ -159,41 +157,29 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"explicit profile values must be finite numbers > 0, got {vals!r}")
 
+    @property
+    def vertices_per_trial(self) -> int:
+        """2n for a law on the doubled vertex set (perfect matching), else n."""
+        return 2 * self.n if parse_law_tag(self.theorem)[0].doubles_vertices else self.n
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {
-            "theorem", "n", "m", "c_grid", "trials_per_point", "master_seed",
-            "profile", "omega", "hc_budget", "experiment_id",
-        }
-        unknown = set(doc) - known
+        """The config of a JSON object keyed by field name; null means a field's default."""
+        required = {f.name: f.default is MISSING and f.default_factory is MISSING
+                    for f in fields(cls)}
+        unknown = set(doc) - set(required)
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"theorem", "n", "m", "c_grid", "trials_per_point", "master_seed"} - set(doc)
+        missing = {name for name, needed in required.items() if needed} - set(doc)
         if missing:
             raise ValidationError(f"missing config fields: {sorted(missing)}")
-        kwargs = dict(doc)
-        if "profile" in kwargs and kwargs["profile"] is None:
-            del kwargs["profile"]
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in doc.items() if v is not None or required[k]})
 
     def manifest(self) -> dict:
         """Config echo with every default filled in."""
-        spec, k = parse_law_tag(self.theorem)
-        n_vertices = 2 * self.n if spec.doubles_vertices else self.n
-        return {
-            "theorem": self.theorem,
-            "n": self.n,
-            "m": self.m,
-            "vertices_per_trial": n_vertices,
-            "c_grid": list(self.c_grid),
-            "trials_per_point": self.trials_per_point,
-            "master_seed": self.master_seed,
-            "profile": self.profile,
-            "omega": self.omega if self.omega is not None else default_omega(n_vertices),
-            "hc_budget": self.hc_budget,
-            "experiment_id": self.experiment_id,
-            "version": __version__,
-        }
+        n_vertices = self.vertices_per_trial
+        return {**asdict(self), "vertices_per_trial": n_vertices, "version": __version__,
+                "omega": default_omega(n_vertices) if self.omega is None else self.omega}
 
 
 @dataclass(frozen=True)
@@ -281,7 +267,7 @@ def _predicted_value(spec: LawSpec, c: float) -> float | None:
 def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoint:
     """Resolve one grid value into a fully specified model."""
     spec, k = parse_law_tag(config.theorem)
-    n = 2 * config.n if spec.doubles_vertices else config.n
+    n = config.vertices_per_trial
     m = config.m
     try:
         if spec.name.endswith("-refined"):

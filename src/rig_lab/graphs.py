@@ -98,6 +98,14 @@ def _vertex_rows(collections, n: int, what: str) -> tuple[np.ndarray, np.ndarray
     return sizes, flat.astype(np.int64)
 
 
+def _check_key_range(n: int, m: int = 0) -> None:
+    """ValidationError unless the int64 keys ``u * n + v`` of n vertices and
+    ``f * n + v`` of m features stay below 2**63."""
+    if n * max(n, m) >= 2**63:
+        raise ValidationError(f"{n} vertices and {m} features are too many: keys u * n + v "
+                              f"and f * n + v need n * max(n, m) < 2**63")
+
+
 class SimpleGraph(_ArrayValue):
     """Undirected simple graph on vertices {0, ..., n-1}.
 
@@ -111,8 +119,7 @@ class SimpleGraph(_ArrayValue):
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValidationError(f"vertex count must be nonnegative, got {n}")
-        if n * n >= 2**63:
-            raise ValidationError(f"vertex count {n} too large: keys u * n + v need n * n < 2**63")
+        _check_key_range(n)
         try:
             pairs = np.array(list(edges))
         except ValueError:  # ragged rows

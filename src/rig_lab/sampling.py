@@ -40,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import RigInstance, UniformHypergraph, _ArrayValue, _universe, unrank_subsets
+from .graphs import (RigInstance, UniformHypergraph, _ArrayValue, _check_key_range, _universe,
+                     unrank_subsets)
 
 
 class FeatureProbabilities(_ArrayValue):
@@ -66,7 +67,12 @@ class FeatureProbabilities(_ArrayValue):
     def homogeneous(cls, m: int, p: float) -> "FeatureProbabilities":
         if m < 1:
             raise ValidationError(f"feature count must be positive, got {m}")
-        return cls(np.full(m, p, dtype=np.float64))
+        try:
+            values = np.full(m, p, dtype=np.float64)
+        except (OverflowError, ValueError):  # a count or a number past numpy's range
+            raise ValidationError(f"{m} feature probabilities of {p} do not fit a float64 array"
+                                  ) from None
+        return cls(values)
 
     @property
     def m(self) -> int:
@@ -190,6 +196,7 @@ def sample_rig(n: int, p: FeatureProbabilities, seed) -> RigInstance:
     """
     if n < 1:
         raise ValidationError(f"vertex count must be positive, got {n}")
+    _check_key_range(n, p.m)
     rng = _as_rng(seed)
     counts = rng.binomial(n, p.values)
     indptr, members = _floyd_rows(counts, np.full(p.m, n), rng)

@@ -28,9 +28,18 @@ from .sampling import FeatureProbabilities
 DEFAULT_T_MAX = 12
 
 
+def _is_finite(value) -> bool:
+    """Whether value is a number, not a bool, that converts to a finite float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def check_omega(omega) -> None:
     """Raise ValidationError unless omega, the coupling's slack, is a finite number > 0."""
-    if isinstance(omega, bool) or not isinstance(omega, numbers.Real) or not 0 < omega < math.inf:
+    if not (_is_finite(omega) and omega > 0):
         raise ValidationError(f"omega must be a finite positive number, got {omega!r}")
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,6 +532,13 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     (None, {"theorem": "hamiltonicity-refined", "n": 100, "c_grid": [0.0, math.nan]}),
     (None, {"theorem": "k-connectivity(2)", "c_grid": [0.0, math.nan],
             "profile": {"kind": "explicit", "values": [1.0, 4.0] * 20}}),
+    # numbers past the float range, and counts past the int64 keys u * n + v and f * n + v
+    pytest.param("n", 10**400, id="n-401-digits"),
+    pytest.param("c_grid", [10**400], id="c_grid-401-digits"),
+    pytest.param("omega", 10**400, id="omega-401-digits"),
+    pytest.param(None, {"m": 2, "profile": {"kind": "explicit", "values": [1.0, 10**400]}},
+                 id="profile-401-digits"),
+    ("m", 10**29), ("n", 5_000_000_000),
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
@@ -560,6 +570,35 @@ def test_cli_gen_accepts_json_config(tmp_path, capsys):
     rc = cli.main(["gen", "--model", "rig", "--m", "3", "--p", "0.5"])  # n missing
     assert rc == 2
     capsys.readouterr()
+
+    def gen_output(doc, *flags):
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["gen", "--config", str(cfg_path), *flags]) == 0
+        return capsys.readouterr().out
+
+    # an omitted parameter takes the flag's default, and null means omitted
+    no_arity = {"model": "draws", "n": 10, "draws": 4, "seed": 9, "hypergraph": True}
+    assert cli.main(["gen", "--model", "draws", "--n", "10", "--draws", "4", "--seed", "9",
+                     "--hypergraph"]) == 0
+    by_flags = capsys.readouterr().out
+    assert by_flags.splitlines()[0] == "10 2 4"
+    assert gen_output(no_arity) == by_flags
+    assert gen_output({**no_arity, "phat": None, "arity": None}) == by_flags
+    # a flag wins over the config
+    assert gen_output({**no_arity, "arity": 2}, "--arity", "3") == from_config
+
+
+def test_readme_cli_examples_parse():
+    # a renamed or removed flag, or config key, fails here until the README follows
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line, comments=True)
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL)
+                for line in block.splitlines() if line.startswith("rig-lab ")]
+    assert len(commands) >= 9
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+    (config,) = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    ExperimentConfig.from_dict(json.loads(config))
 
 
 def test_cli_couple_and_collector(capsys):

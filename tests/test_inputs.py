@@ -278,6 +278,31 @@ def test_cli_gen_rejects_draw_counts_past_the_limit(flags):
     assert err.getvalue().startswith("error: ") and "limit" in err.getvalue()
 
 
+_HUGE = "1" * 30  # past int64 and past numpy's largest array
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["gen", "--model", "rig", "--n", _HUGE, "--m", "3", "--p", "0.5"], None),
+    (["couple", "--n", _HUGE, "--m", "3", "--p", "0.5", "--trials", "1"], None),
+    (["collector", "--n", _HUGE, "--m", "3", "--p", "0.5", "--trials", "1"], None),
+    (["gen", "--model", "rig", "--n", "10", "--m", _HUGE, "--p", "0.5"], None),
+    (["stats", "--n", "10", "--m", _HUGE, "--p", "0.5"], None),
+    (["gen"], {"model": "rig", "n": 10, "m": 3, "p": 10**400}),
+    (["gen"], {"model": "rig", "n": 10**400, "m": 3, "p": 0.5}),
+])
+def test_cli_rejects_counts_past_the_array_range(tmp_path, argv, config):
+    # each is refused before any allocation, with one error line
+    if config is not None:
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half of the import time of the command line
     env = dict(os.environ, PYTHONPATH=str(Path(rig_lab.__file__).parents[1]))
