@@ -309,7 +309,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PLANNING
     except MemoryError as exc:  # e.g. numpy refusing an array for a huge vertex count
-        sys.stderr.write(f"error: out of memory: {exc}\n")
+        reason = f": {exc}" if str(exc) else ""  # numpy may raise a bare MemoryError()
+        sys.stderr.write(f"error: out of memory{reason}\n")
         return EXIT_PLANNING
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")

@@ -11,10 +11,11 @@ Three experiments, each reproducible from a Seed:
   ``pair-stream`` and ``triple-stream`` (one ``draw_subsets`` call each),
   ``padding`` (one block of uniforms for Floyd's rule, in feature order)
   and ``poisson`` (the pair count, then the triple count).  The rebuilt
-  features are a RigInstance projected by ``project_rig``; edges and
-  memberships are sorted int64 keys, compared by ``searchsorted``.  The
-  Poisson means, the regime and the concentration slack are
-  ``thresholds.sandwich_law``, which ``rig-lab stats`` prints.
+  features are a RigInstance projected by ``project_rig``; the prefix
+  edges are looked up among its arc keys, and the draws among the
+  memberships, by ``graphs._in_sorted``.  The Poisson means, the regime
+  and the concentration slack are ``thresholds.sandwich_law``, which
+  ``rig-lab stats`` prints.
 
 * ``coupon_collector_trial`` couples the construction with a coupon
   collector process: feature sets are the distinct vertices seen in
@@ -40,9 +41,10 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .errors import CoverageNotReached, ValidationError
-from .graphs import (RigInstance, SimpleGraph, _check_key_range, _sorted_rows, _unique_keys,
-                     project_rig)
+from .graphs import (RigInstance, SimpleGraph, _check_key_range, _in_sorted, _sorted_rows,
+                     _unique_keys, _universe, project_rig)
 from .sampling import (
+    MAX_DRAWS,
     FeatureProbabilities,
     Seed,
     _as_rng,
@@ -102,29 +104,19 @@ def _edge_keys(n: int, pairs: np.ndarray, triples: np.ndarray) -> np.ndarray:
     return _unique_keys(np.concatenate((pairs[:, 0] * n + pairs[:, 1], a * n + b, a * n + c, b * n + c)))
 
 
-def _within(keys: np.ndarray, sorted_keys: np.ndarray) -> bool:
-    """Whether every key is one of ``sorted_keys``."""
-    at = np.searchsorted(sorted_keys, keys)
-    return bool((at < len(sorted_keys)).all() and (sorted_keys[at] == keys).all())
-
-
-def couple_feature(size: int, odd: int, n: int, seed) -> tuple[SimpleGraph, frozenset[int]]:
+def couple_feature(size: int, n: int, seed) -> tuple[SimpleGraph, frozenset[int]]:
     """Coupled graph and feature set for a single feature class.
 
-    ``size`` must be 0 or in {2, ..., n}; ``odd`` must match its parity.
+    ``size`` must be 0 or in {2, ..., n}; an odd size takes one triple.
     The returned graph is a subgraph of the clique on the returned set --
     guaranteed, not probabilistic.
     """
     if size != 0 and not (2 <= size <= n):
         raise ValidationError(f"size must be 0 or in [2, {n}], got {size}")
-    if odd not in (0, 1):
-        raise ValidationError(f"odd flag must be 0 or 1, got {odd}")
-    expected_odd = (size % 2) if size >= 2 else 0
-    if odd != expected_odd:
-        raise ValidationError(f"odd flag {odd} does not match parity of size {size}")
     rng = _as_rng(seed)
     if size == 0:
         return SimpleGraph(n), frozenset()
+    odd = size % 2
     pairs = draw_subsets(n, 2, (size - 3 * odd) // 2, rng)
     triples = draw_subsets(n, 3, odd, rng)
     members, _ = _rebuild(n, np.array([size]), pairs, triples, rng)
@@ -189,7 +181,6 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     members, draw_keys = _rebuild(n, active, pairs, triples, seed.child("padding").rng())
     rig = project_rig(RigInstance._wrap(n, p.m, *_sorted_rows(members, n, p.m)))
     tails, heads = rig.arcs()
-    rig_edges = (tails * n + heads)[tails < heads]  # sorted: CSR rows in order
     prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
 
     guards = {
@@ -198,15 +189,15 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         "size_concentration_ok": abs(sum_active - st.S1) <= slack,
     }
     return CouplingReport(
-        contained=_within(prefix_edges, rig_edges),
-        per_feature_contained=_within(draw_keys, members),
+        contained=bool(_in_sorted(tails * n + heads, prefix_edges).all()),  # CSR rows: sorted
+        per_feature_contained=bool(_in_sorted(members, draw_keys).all()),
         guard_events=guards,
         pair_draws=pair_draws,
         triple_draws=triple_draws,
         active_size_sum=sum_active,
         poisson_pairs=poisson_pairs,
         poisson_triples=poisson_triples,
-        rig_edge_count=len(rig_edges),
+        rig_edge_count=rig.edge_count(),
         coupled_edge_count=len(_edge_keys(n, pairs, triples)),
         prefix_edge_count=len(prefix_edges),
         regime_infeasible=regime == "small-S3",
@@ -350,9 +341,11 @@ def poissonization_test(n: int, arity: int, lam: float, trials: int,
     z-score against the closed-form probability, for universes of at most
     200k subsets).
     """
-    if trials < 1000:
-        raise ValidationError(f"need at least 1000 trials, got {trials}")
-    total = math.comb(n, arity)
+    if not 1000 <= trials <= MAX_DRAWS:
+        raise ValidationError(f"trials must lie in [1000, {MAX_DRAWS}] (the draw limit), got {trials}")
+    total = _universe(n, arity)
+    if n < arity:
+        raise ValidationError(f"need at least {arity} vertices, got {n}")
     q = poisson_hit_probability(n, arity, lam)
     sigma = math.sqrt(q * (1.0 - q) / trials) if 0.0 < q < 1.0 else float("inf")
     scored = sigma != float("inf") and total <= 200_000

@@ -3,7 +3,7 @@
 
 class ValidationError(ValueError):
     """Raised when an argument fails a precondition (bad probability,
-    bad count, parity mismatch, NaN, ...)."""
+    bad count, NaN, ...)."""
 
 
 class UnsupportedArity(ValidationError):

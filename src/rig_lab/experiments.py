@@ -54,6 +54,8 @@ from .thresholds import (
 )
 
 RESULTS_HEADER = ("theorem", "c", "n", "m", "trial", "seed", "verdict", "unknown_flag")
+# a sweep plans all of its trials before the first runs, about 500 bytes each
+MAX_SWEEP_TRIALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -63,21 +65,20 @@ class LawSpec:
     S1 = n*(ln n + (level - 1)*ln ln n + c), level being its min-degree level."""
 
     name: str
-    needs_k: bool
     doubles_vertices: bool
     limit_style: str  # "f" (double-exponential law) or "zero-one"
-    delta_level: int  # min-degree level implied by the property; 0 means "use k"
+    delta_level: int  # min-degree level implied by the property; 0: the law takes a k as its level
 
 
 _LAWS = {spec.name: spec for spec in (
-    LawSpec("connectivity", False, False, "f", 1),
-    LawSpec("k-connectivity", True, False, "zero-one", 0),
-    LawSpec("perfect-matching", False, True, "f", 1),
-    LawSpec("hamiltonicity", False, False, "zero-one", 2),
-    LawSpec("hamiltonicity-refined", False, False, "zero-one", 2),
-    LawSpec("k-connectivity-refined", True, False, "zero-one", 0),
-    LawSpec("min-degree", False, False, "f", 1),
-    LawSpec("min-degree-refined", True, False, "zero-one", 0),
+    LawSpec("connectivity", False, "f", 1),
+    LawSpec("k-connectivity", False, "zero-one", 0),
+    LawSpec("perfect-matching", True, "f", 1),
+    LawSpec("hamiltonicity", False, "zero-one", 2),
+    LawSpec("hamiltonicity-refined", False, "zero-one", 2),
+    LawSpec("k-connectivity-refined", False, "zero-one", 0),
+    LawSpec("min-degree", False, "f", 1),
+    LawSpec("min-degree-refined", False, "zero-one", 0),
 )}
 
 _TAG_RE = re.compile(r"^([a-z-]+?)(?:\((\d+)\))?$")
@@ -90,9 +91,9 @@ def parse_law_tag(tag: str) -> tuple[LawSpec, int]:
         raise ValidationError(f"unknown law tag {tag!r}; known: {sorted(_LAWS)}")
     spec = _LAWS[m.group(1)]
     k = int(m.group(2)) if m.group(2) else 1
-    if spec.needs_k and m.group(2) is None:
+    if spec.delta_level == 0 and m.group(2) is None:
         raise ValidationError(f"law {spec.name!r} needs an explicit k, e.g. {spec.name}(2)")
-    if not spec.needs_k and m.group(2) is not None:
+    if spec.delta_level != 0 and m.group(2) is not None:
         raise ValidationError(f"law {spec.name!r} does not take a k parameter")
     if k < 1:
         raise ValidationError(f"k must be positive, got {k}")
@@ -146,6 +147,9 @@ class ExperimentConfig:
             raise ValidationError("c_grid must be strictly increasing")
         if self.trials_per_point < 1:
             raise ValidationError("trials_per_point must be positive")
+        if len(grid) * self.trials_per_point > MAX_SWEEP_TRIALS:
+            raise ValidationError(f"a sweep of {len(grid) * self.trials_per_point} trials "
+                                  f"exceeds the limit of {MAX_SWEEP_TRIALS}")
         kind = self.profile.get("kind")
         if kind not in ("homogeneous", "explicit"):
             raise ValidationError(f"profile kind must be homogeneous or explicit, got {kind!r}")
@@ -187,7 +191,6 @@ class PlannedPoint:
     index: int
     c: float
     n_vertices: int
-    m: int
     probabilities: FeatureProbabilities
     s1_target: float
     s1_achieved: float
@@ -198,9 +201,6 @@ class PlannedPoint:
 @dataclass(frozen=True)
 class TrialRecord:
     point_index: int
-    c: float
-    n_vertices: int
-    m: int
     trial: int
     seed_word: int
     outcome: str  # "yes" | "no" | "unknown"
@@ -267,8 +267,7 @@ def _predicted_value(spec: LawSpec, c: float) -> float | None:
 def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoint:
     """Resolve one grid value into a fully specified model."""
     spec, k = parse_law_tag(config.theorem)
-    n = config.vertices_per_trial
-    m = config.m
+    n, m = config.vertices_per_trial, config.m
     try:
         if spec.name.endswith("-refined"):
             if config.profile.get("kind") != "homogeneous":
@@ -289,7 +288,7 @@ def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoi
             else:
                 probs = _scale_explicit(n, tuple(config.profile["values"]), s1_target)
         st = summary_stats(n, probs, t_max=2)
-        return PlannedPoint(index=index, c=float(c), n_vertices=n, m=m, probabilities=probs,
+        return PlannedPoint(index=index, c=float(c), n_vertices=n, probabilities=probs,
                             s1_target=s1_target, s1_achieved=st.S1, a_n=st.a_n,
                             predicted=_predicted_value(spec, float(c)))
     except (OutOfRangeError, ValidationError) as exc:
@@ -375,9 +374,6 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
     t2 = time.perf_counter()
     return TrialRecord(
         point_index=point.index,
-        c=point.c,
-        n_vertices=point.n_vertices,
-        m=point.m,
         trial=trial,
         seed_word=trial_seed.state_word(),
         outcome=outcome,
@@ -499,11 +495,12 @@ def render_results_csv(result: SweepResult) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULTS_HEADER)
     for r in result.records:
+        point = result.points[r.point_index]
         writer.writerow([
             result.config.theorem,
-            repr(r.c),
-            r.n_vertices,
-            r.m,
+            repr(point.c),
+            point.n_vertices,
+            result.config.m,
             r.trial,
             r.seed_word,
             r.outcome,

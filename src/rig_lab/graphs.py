@@ -71,6 +71,15 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _in_sorted(keys: np.ndarray, values):
+    """Whether each of `values` (an int or an int array) is in the sorted
+    array `keys`, by `searchsorted`; False throughout when `keys` is empty."""
+    if not len(keys):
+        return np.zeros(np.shape(values), dtype=bool)
+    at = np.minimum(keys.searchsorted(values), len(keys) - 1)
+    return keys[at] == values
+
+
 def _sorted_rows(keys: np.ndarray, width: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, columns)`` of ``rows`` sorted, duplicate-free rows, both
     int64, from int32 or int64 keys ``row * width + column`` in any order."""

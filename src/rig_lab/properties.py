@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
                                   maximum_bipartite_matching, maximum_flow)
 
 from .errors import ValidationError
-from .graphs import Edge, SimpleGraph
+from .graphs import Edge, SimpleGraph, _in_sorted
 from .sampling import Seed, _as_rng
 
 DEFAULT_HC_BUDGET = 200_000
@@ -53,13 +53,6 @@ def is_connected(g: SimpleGraph) -> bool:
 
 
 _FLOW_ARC_CAP = 1 << 14  # arcs past which the pair copies go to a new flow network
-
-
-def _in_sorted(keys: np.ndarray, values):
-    """Whether each of `values` (an int or an int array) is in the nonempty
-    sorted array `keys`, by `searchsorted`."""
-    at = np.minimum(keys.searchsorted(values), len(keys) - 1)
-    return keys[at] == values
 
 
 def _has_arcs(g: SimpleGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -497,9 +490,10 @@ def _backtrack_hc(adj: list[set[int]], n: int, start: int,
     """Exhaustive pruned DFS.  Returns (cycle, completed, effort).
 
     completed=True with no cycle is a proof of non-Hamiltonicity; the
-    prunes only discard provably dead branches.  Degree prunes run
-    incrementally (only vertices whose usable cycle slots changed get
-    rechecked); the connectivity prune runs periodically.
+    prunes only discard provably dead branches.  At min degree >= 2 every
+    vertex starts with two usable cycle slots, and degree prunes run
+    incrementally (only vertices whose slots changed get rechecked); the
+    connectivity prune runs periodically.
     """
     deg_order = sorted(range(n), key=lambda v: len(adj[v]))
     rank = [0] * n
@@ -547,11 +541,6 @@ def _backtrack_hc(adj: list[set[int]], n: int, start: int,
                         stack.append(w)
             return found == remaining
         return True
-
-    # check once at the root that every unvisited vertex has two slots
-    for u in range(n):
-        if not visited[u] and slots(u, start) < 2:
-            return None, True, effort
 
     while iters:
         if effort >= budget:

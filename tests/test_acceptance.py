@@ -121,8 +121,7 @@ def test_criterion_3_per_feature_coupling_exactness():
         size = int(rng.integers(0, n + 1))
         if size == 1:
             size = 0
-        odd = size % 2 if size >= 2 else 0
-        g, members = couple_feature(size, odd, n, seed.child(t))
+        g, members = couple_feature(size, n, seed.child(t))
         if len(members) != size or not set(g.edge_list()) <= frozenset(clique_edges(members)):
             failures += 1
     elapsed = time.monotonic() - start

@@ -27,25 +27,21 @@ from oracles import (clique_edges, oracle_coupon_collector_trial, oracle_couple_
 
 
 def test_couple_feature_examples():
-    g, members = couple_feature(0, 0, 8, Seed(1).child("a"))
+    g, members = couple_feature(0, 8, Seed(1).child("a"))
     assert g.edge_count() == 0 and members == frozenset()
-    g, members = couple_feature(2, 0, 8, Seed(1).child("b"))
+    g, members = couple_feature(2, 8, Seed(1).child("b"))
     assert g.edge_count() == 1 and len(members) == 2
     assert set(g.edge_list()[0]) == set(members)
-    g, members = couple_feature(3, 1, 8, Seed(1).child("c"))
+    g, members = couple_feature(3, 8, Seed(1).child("c"))
     assert g.edge_count() == 3 and len(members) == 3
     assert set(g.edge_list()) == frozenset(clique_edges(members))
 
 
 def test_couple_feature_validation():
     with pytest.raises(ValidationError):
-        couple_feature(1, 0, 8, Seed(1))
+        couple_feature(1, 8, Seed(1))
     with pytest.raises(ValidationError):
-        couple_feature(3, 0, 8, Seed(1))  # parity mismatch
-    with pytest.raises(ValidationError):
-        couple_feature(2, 1, 8, Seed(1))
-    with pytest.raises(ValidationError):
-        couple_feature(9, 1, 8, Seed(1))  # larger than the vertex set
+        couple_feature(9, 8, Seed(1))  # larger than the vertex set
 
 
 def test_couple_feature_containment_randomized():
@@ -56,8 +52,7 @@ def test_couple_feature_containment_randomized():
         size = int(rng.integers(0, n + 1))
         if size == 1:
             size = 0
-        odd = size % 2 if size >= 2 else 0
-        g, members = couple_feature(size, odd, n, master.child(trial))
+        g, members = couple_feature(size, n, master.child(trial))
         assert len(members) == size
         assert set(g.edge_list()) <= frozenset(clique_edges(members))
 
@@ -74,8 +69,8 @@ def test_per_feature_union_distribution_matches_direct_sampling():
         direct[frozenset(project_rig(inst).edge_list())] += 1
         rng = seed.child("coupled", t).rng()
         edges = set()
-        for y, z in zip(*split_sizes(rng.binomial(n, p.values))):
-            g, members = couple_feature(y, z, n, rng)
+        for y in split_sizes(rng.binomial(n, p.values))[0]:
+            g, members = couple_feature(y, n, rng)
             edges |= set(clique_edges(members))
         coupled[frozenset(edges)] += 1
     keys = sorted(set(direct) | set(coupled), key=sorted)
@@ -163,11 +158,11 @@ def test_couple_feature_matches_set_oracle(data):
     size = data.draw(st.sampled_from([0, n, *range(2, n + 1)]))
     odd = size % 2 if size >= 2 else 0
     seed = Seed(data.draw(st.integers(0, 2**64 - 1)))
-    assert couple_feature(size, odd, n, seed) == oracle_couple_feature(size, odd, n, seed)
+    assert couple_feature(size, n, seed) == oracle_couple_feature(size, odd, n, seed)
     # through a shared generator, the stream continues where each call left it
     rng, oracle_rng = seed.rng(), seed.rng()
     for _ in range(3):
-        assert couple_feature(size, odd, n, rng) == oracle_couple_feature(size, odd, n, oracle_rng)
+        assert couple_feature(size, n, rng) == oracle_couple_feature(size, odd, n, oracle_rng)
 
 
 def test_collector_all_empty_features():

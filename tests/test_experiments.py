@@ -426,6 +426,18 @@ def test_cli_reports_memory_error(tmp_path, capsys, monkeypatch):
     assert out == "" and err == "error: out of memory: Unable to allocate 7.45 GiB for an array\n"
 
 
+def test_cli_reports_bare_memory_error(tmp_path, capsys, monkeypatch):
+    def refuse(text):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "graph_from_text", refuse)
+    path = tmp_path / "g.txt"
+    path.write_text("4 0\n")
+    assert cli.main(["check", "--property", "mindeg", "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("flags, rejected", [(["--property", "audit"], "'audit'"),
                                              (["--property", "pm", "--gamma", "0.6"], "--gamma")])
 def test_cli_check_rejects_removed_audit_flags(tmp_path, capsys, flags, rejected):
@@ -539,6 +551,8 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     pytest.param(None, {"m": 2, "profile": {"kind": "explicit", "values": [1.0, 10**400]}},
                  id="profile-401-digits"),
     ("m", 10**29), ("n", 5_000_000_000),
+    # more trials than a sweep plans at once
+    ("trials_per_point", 10**6 + 1), (None, {"c_grid": [0.0, 1.0], "trials_per_point": 500_001}),
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],

@@ -57,6 +57,27 @@ def test_values_pickle_to_equal_read_only_values():
         assert arrays and not any(a.flags.writeable for a in arrays)
 
 
+_KEY = st.one_of(st.integers(-8, 40), st.sampled_from([-2**63, 2**63 - 1]))
+
+
+@given(st.lists(_KEY, max_size=24), st.lists(_KEY, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_in_sorted_matches_membership(keys, queries):
+    # repeated keys allowed; array queries and scalar queries alike
+    sorted_keys = np.sort(np.array(keys, dtype=np.int64))
+    found = graphs._in_sorted(sorted_keys, np.array(queries, dtype=np.int64))
+    assert found.tolist() == [q in keys for q in queries]
+    for q in queries:
+        assert bool(graphs._in_sorted(sorted_keys, q)) == (q in keys)
+
+
+def test_in_sorted_on_empty_keys():
+    empty = np.empty(0, dtype=np.int64)
+    assert graphs._in_sorted(empty, empty).tolist() == []
+    assert graphs._in_sorted(empty, np.array([0, 5, -1])).tolist() == [False, False, False]
+    assert not graphs._in_sorted(empty, 3)
+
+
 def test_project_hypergraph_examples():
     tri = UniformHypergraph(3, 3, frozenset({(0, 1, 2)}))
     assert set(project_hypergraph(tri).edge_list()) == frozenset({(0, 1), (0, 2), (1, 2)})

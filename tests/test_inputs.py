@@ -289,6 +289,12 @@ _HUGE = "1" * 30  # past int64 and past numpy's largest array
     (["stats", "--n", "10", "--m", _HUGE, "--p", "0.5"], None),
     (["gen"], {"model": "rig", "n": 10, "m": 3, "p": 10**400}),
     (["gen"], {"model": "rig", "n": 10**400, "m": 3, "p": 0.5}),
+    # poisson-check: fewer vertices than the arity (no subsets), trials past the draw limit
+    (["poisson-check", "--n", "-5", "--arity", "3", "--lam", "3", "--trials", "1000"], None),
+    (["poisson-check", "--n", "2", "--arity", "3", "--lam", "0", "--trials", "1000"], None),
+    (["poisson-check", "--n", "2", "--arity", "3", "--lam", "3", "--trials", "1000"], None),
+    (["poisson-check", "--n", "6", "--arity", "3", "--lam", "3", "--trials", _HUGE], None),
+    (["poisson-check", "--n", "6", "--arity", "3", "--lam", "3", "--trials", str(10**11)], None),
 ])
 def test_cli_rejects_counts_past_the_array_range(tmp_path, argv, config):
     # each is refused before any allocation, with one error line
