@@ -15,13 +15,18 @@ excluded from that contract.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import numbers
+import os
+import pickle
 import re
+import signal
+import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -54,8 +59,10 @@ from .thresholds import (
 )
 
 RESULTS_HEADER = ("theorem", "c", "n", "m", "trial", "seed", "verdict", "unknown_flag")
-# a sweep plans all of its trials before the first runs, about 500 bytes each
+# a sweep keeps every trial's outcome until it writes them, a few hundred bytes each
 MAX_SWEEP_TRIALS = 1_000_000
+# each helper is a forked copy of the calling process
+MAX_THREADS = 64
 
 
 @dataclass(frozen=True)
@@ -391,41 +398,123 @@ class SweepAborted(RuntimeError):
         self.partial = partial
 
 
-def _trial_task(args):
-    config, point, trial = args
+def _attempt(config: ExperimentConfig, point: PlannedPoint, trial: int) -> TrialRecord | str:
+    """One trial's record, or the cause it failed with, the trial named."""
     try:
         return run_trial(config, point, trial)
     except Exception as exc:  # noqa: BLE001 - reported with trial context
-        return (point.index, trial, f"{type(exc).__name__}: {exc}")
+        return f"point {point.index} trial {trial}: {type(exc).__name__}: {exc}"
+
+
+def _fork_helper(work) -> tuple[int, io.BufferedReader]:
+    """Fork a helper that runs work() and sends its pickled result back once;
+    return the helper's pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the helper leaves only through os._exit, so none of the caller's code runs twice
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(work(), pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _claim(fd: int) -> int:
+    """Take the next trial index from the file fd shares among forked processes.
+    It is guarded by a record lock, which the kernel drops if its holder dies,
+    so a helper killed mid-claim cannot stall the others."""
+    import fcntl
+
+    fcntl.lockf(fd, fcntl.LOCK_EX)
+    i = int.from_bytes(os.pread(fd, 8, 0), "little")  # an empty file reads as 0
+    os.pwrite(fd, (i + 1).to_bytes(8, "little"), 0)
+    fcntl.lockf(fd, fcntl.LOCK_UN)
+    return i
+
+
+def _run_trials(config: ExperimentConfig, points: list[PlannedPoint],
+                threads: int) -> tuple[list[TrialRecord | str | None], str | None]:
+    """Every trial's outcome in (point, trial) order (its record, the cause it
+    failed with, or None if a helper died holding it), and why a helper died.
+
+    The caller and its min(threads, trials) - 1 helpers take trial indices
+    from one shared counter; each helper inherits config and points and sends
+    its outcomes back once.  If the caller raises, it kills and reaps every
+    helper first.
+    """
+    per_point = config.trials_per_point
+    outcomes: list[TrialRecord | str | None] = [None] * (len(points) * per_point)
+    helpers = min(threads, len(outcomes)) - 1 if hasattr(os, "fork") else 0
+    ticket = tempfile.TemporaryFile() if helpers else None  # the shared counter's file
+    claim = functools.partial(_claim, ticket.fileno()) if helpers else itertools.count().__next__
+
+    def work() -> list[tuple[int, TrialRecord | str]]:
+        done = []
+        while (i := claim()) < len(outcomes):
+            done.append((i, _attempt(config, points[i // per_point], i % per_point)))
+        return done
+
+    lost, pipes = None, {}  # pipes: helper pid -> the read end of its pipe, until it is reaped
+    try:
+        for _ in range(helpers):
+            pid, pipe = _fork_helper(work)
+            pipes[pid] = pipe
+        reports = [work()]
+        for pid, pipe in list(pipes.items()):
+            with pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[pid]
+            if code == 0:
+                reports.append(pickle.loads(report))
+            elif lost is None:
+                lost = f"a helper process exited with code {code} before reporting its trials"
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if ticket is not None:
+            ticket.close()
+    for report in reports:
+        for i, outcome in report:
+            outcomes[i] = outcome
+    return outcomes, lost
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Plan every grid point, run all trials, and aggregate.
 
-    Output is independent of `threads`; records are sorted by
-    (point, trial) before aggregation.  A failing trial aborts the sweep
-    with the completed records attached (SweepAborted.partial) so callers
-    can flush them.
+    Trials run in the calling process and, for threads > 1, in helpers
+    forked after planning: at most min(threads, trials) processes in all,
+    and threads may not exceed MAX_THREADS.  Where os.fork is missing every
+    trial runs in the calling process.  Output is independent of `threads`:
+    records stay in (point, trial) order.  A failing trial, or a helper
+    that dies, aborts the sweep with the completed records attached
+    (SweepAborted.partial) so callers can flush them; the cause named is
+    the first failure in (point, trial) order, or the helper's exit code.
     """
-    if threads < 1:
-        raise ValidationError(f"threads must be positive, got {threads}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValidationError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
     start = time.monotonic()
     points = [plan_point(config, c, i) for i, c in enumerate(config.c_grid)]
-    tasks = [(config, pt, t) for pt in points for t in range(config.trials_per_point)]
-    if threads == 1:
-        outcomes = [_trial_task(task) for task in tasks]
-    else:
-        chunk = max(1, len(tasks) // (threads * 8))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_trial_task, tasks, chunksize=chunk))
+    outcomes, lost = _run_trials(config, points, threads)
     records = [r for r in outcomes if isinstance(r, TrialRecord)]
-    failures = [r for r in outcomes if not isinstance(r, TrialRecord)]
-    records.sort(key=lambda r: (r.point_index, r.trial))
-    if failures:
-        pidx, trial, cause = failures[0]
+    cause = lost or next((r for r in outcomes if isinstance(r, str)), None)
+    if cause:
         partial = SweepResult(config=config, points=points, records=records,
                               summaries=[], wall_seconds=time.monotonic() - start)
-        raise SweepAborted(f"point {pidx} trial {trial}: {cause}", partial)
+        raise SweepAborted(cause, partial)
     summaries = []
     for pt in points:
         rs = [r for r in records if r.point_index == pt.index]

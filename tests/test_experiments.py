@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +145,24 @@ def test_run_sweep_single_trial():
     assert res.summaries[0].frequency in (0.0, 1.0)
 
 
+def _assert_no_children():
+    """No child process of this one is left running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_sweep_determinism_and_thread_independence(tmp_path):
     cfg = make_config(c_grid=(-1.0, 1.0), trials_per_point=12, n=80, m=80)
     res1 = run_sweep(cfg, threads=1)
-    res2 = run_sweep(cfg, threads=2)
-    assert render_results_csv(res1) == render_results_csv(res2)
-    assert render_summary_json(res1) == render_summary_json(res2)
     emit_outputs(res1, tmp_path / "a")
-    emit_outputs(res2, tmp_path / "b")
-    for name in ("results.csv", "summary.json", "limit_table.dat"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    for threads in (2, 5):  # 5: more processes than cores, all claiming from one counter
+        res2 = run_sweep(cfg, threads=threads)
+        _assert_no_children()
+        assert render_results_csv(res1) == render_results_csv(res2)
+        assert render_summary_json(res1) == render_summary_json(res2)
+        emit_outputs(res2, tmp_path / "b")
+        for name in ("results.csv", "summary.json", "limit_table.dat"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     # timings.csv: wall time, per-stage totals over all trials, Hamiltonicity effort
     for side in ("a", "b"):
         header, row = (tmp_path / side / "timings.csv").read_text().splitlines()
@@ -249,7 +259,15 @@ def test_monotonicity_smoke_with_wilson_slack():
         assert b.frequency >= a.frequency - slack, (a.c, b.c)
 
 
-def test_sweep_aborts_with_partial_records(monkeypatch, tmp_path):
+def _write_sweep_config(path, **overrides):
+    path.write_text(json.dumps({"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
+                                "trials_per_point": 6, "master_seed": 99, "experiment_id": "t",
+                                **overrides}))
+    return str(path)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_aborts_with_partial_records(monkeypatch, tmp_path, threads):
     import rig_lab.experiments as exp
 
     original = exp._judge
@@ -259,22 +277,144 @@ def test_sweep_aborts_with_partial_records(monkeypatch, tmp_path):
             raise RuntimeError("synthetic trial failure")
         return original(spec, k, inst, hc_budget, trial_seed)
 
-    monkeypatch.setattr(exp, "_judge", flaky)
     cfg = make_config(trials_per_point=6, n=40, m=40)
+    full = run_sweep(cfg).records
+    monkeypatch.setattr(exp, "_judge", flaky)
     with pytest.raises(exp.SweepAborted) as err:
-        exp.run_sweep(cfg)
+        exp.run_sweep(cfg, threads=threads)
+    _assert_no_children()
+    assert str(err.value) == "sweep aborted: point 0 trial 3: RuntimeError: synthetic trial failure"
     partial = err.value.partial
-    assert len(partial.records) == 5
+    assert [r.trial for r in partial.records] == [0, 1, 2, 4, 5]
+    assert partial.records == [r for r in full if r.trial != 3]
     emit_outputs(partial, tmp_path)  # partials can be flushed
     lines = (tmp_path / "results.csv").read_text().splitlines()
     assert len(lines) - 1 == 5
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
-                                    "trials_per_point": 6, "master_seed": 99,
-                                    "experiment_id": "t"}))
+    cfg_path = _write_sweep_config(tmp_path / "cfg.json")
     out = tmp_path / "cli"
-    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == cli.EXIT_ABORTED
+    assert cli.main(["sweep", "--config", cfg_path, "--out", str(out),
+                     "--threads", str(threads)]) == cli.EXIT_ABORTED
     assert (out / "results.csv").read_text() == (tmp_path / "results.csv").read_text()
+
+
+def test_sweep_threads_bound_starts_nothing(monkeypatch, tmp_path, capsys):
+    import rig_lab.experiments as exp
+
+    def refuse(*args):
+        raise AssertionError("must not be reached")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(exp, "plan_point", refuse)
+    with pytest.raises(ValidationError, match="threads"):
+        run_sweep(make_config(), threads=exp.MAX_THREADS + 1)
+    for threads in ("100000", "0"):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", _write_sweep_config(tmp_path / "cfg.json"),
+                         "--out", str(out), "--threads", threads]) == cli.EXIT_PLANNING
+        err = capsys.readouterr().err
+        assert err.startswith("error: threads") and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_sweep_forks_no_more_helpers_than_trials(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    cfg = make_config(trials_per_point=2, n=30, m=30)
+    assert len(run_sweep(cfg, threads=8).records) == 2
+    _assert_no_children()
+    assert len(forks) <= 1
+
+
+def test_sweep_without_fork_runs_every_trial_in_the_caller(monkeypatch):
+    cfg = make_config(c_grid=(-1.0, 1.0), trials_per_point=4, n=40, m=40)
+    expected = render_results_csv(run_sweep(cfg))
+    monkeypatch.delattr(os, "fork")
+    assert render_results_csv(run_sweep(cfg, threads=4)) == expected
+
+
+def test_cli_sweep_with_more_threads_than_trials(tmp_path, capsys):
+    cfg_path = _write_sweep_config(tmp_path / "cfg.json", trials_per_point=3)
+    for threads in ("1", "5"):
+        assert cli.main(["sweep", "--config", cfg_path, "--out", str(tmp_path / threads),
+                         "--threads", threads]) == cli.EXIT_OK
+    _assert_no_children()
+    for name in ("results.csv", "summary.json", "limit_table.dat"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "5" / name).read_bytes()
+
+
+def test_dead_helper_aborts_the_sweep(monkeypatch, tmp_path, capsys):
+    import rig_lab.experiments as exp
+
+    parent, original = os.getpid(), exp.run_trial
+
+    def dying(config, point, trial):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.2)  # the helper claims a trial meanwhile
+        return original(config, point, trial)
+
+    cfg = make_config(trials_per_point=4, n=40, m=40)
+    full = {r.trial: r for r in run_sweep(cfg).records}
+    monkeypatch.setattr(exp, "run_trial", dying)
+    with pytest.raises(SweepAborted, match="exited with code 3") as err:
+        run_sweep(cfg, threads=2)
+    _assert_no_children()
+    records = err.value.partial.records
+    assert 0 < len(records) < 4
+    assert records == [full[r.trial] for r in records]
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", _write_sweep_config(tmp_path / "cfg.json",
+                                                              trials_per_point=4),
+                     "--out", str(out), "--threads", "2"]) == cli.EXIT_ABORTED
+    _assert_no_children()
+    assert "exited with code 3" in capsys.readouterr().err
+    assert 1 < len((out / "results.csv").read_text().splitlines()) < 5
+
+
+def test_helper_dying_inside_the_counter_lock_stalls_nothing(monkeypatch):
+    import fcntl
+    import rig_lab.experiments as exp
+
+    parent, original = os.getpid(), exp._claim
+
+    def dying(fd):
+        if os.getpid() != parent:
+            fcntl.lockf(fd, fcntl.LOCK_EX)
+            os._exit(9)
+        time.sleep(0.2)  # the helper takes the lock meanwhile
+        return original(fd)
+
+    monkeypatch.setattr(exp, "_claim", dying)
+    cfg = make_config(trials_per_point=3, n=40, m=40)
+    with pytest.raises(SweepAborted, match="exited with code 9") as err:
+        run_sweep(cfg, threads=2)
+    _assert_no_children()
+    assert [r.trial for r in err.value.partial.records] == [0, 1, 2]
+
+
+def test_interrupted_sweep_kills_its_helpers(monkeypatch):
+    import rig_lab.experiments as exp
+
+    parent = os.getpid()
+
+    def interrupted(config, point, trial):
+        if os.getpid() != parent:
+            time.sleep(60)  # until killed
+        time.sleep(0.2)  # the helper claims a trial meanwhile
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(exp, "run_trial", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(make_config(trials_per_point=4, n=40, m=40), threads=3)
+    _assert_no_children()
+    assert time.monotonic() - start < 30
 
 
 def test_hamiltonicity_below_three_vertices_aborts_the_sweep():
