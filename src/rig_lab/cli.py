@@ -31,7 +31,8 @@ import sys
 
 from .errors import PlanningError, ValidationError
 from .experiments import ExperimentConfig, SweepAborted, emit_outputs, run_sweep
-from .coupling import coupon_collector_trial, poissonization_test, run_coupling_trial
+from .coupling import (_chain_trial, _collector_trial, _plan_chain, _plan_collector,
+                       poissonization_test)
 from .graphs import graph_from_text, graph_to_text, hypergraph_to_text, project_hypergraph, project_rig
 from .properties import (
     DEFAULT_HC_BUDGET,
@@ -48,8 +49,7 @@ from .sampling import (
     sample_h_independent,
     sample_rig,
 )
-from .thresholds import (check_omega, default_omega, poisson_hit_probability, sandwich_law,
-                         summary_stats)
+from .thresholds import default_omega, poisson_hit_probability, sandwich_law, summary_stats
 
 EXIT_OK = 0
 EXIT_ABORTED = 1
@@ -185,28 +185,28 @@ def _cmd_check(args) -> int:
     return _print_json(doc)
 
 
-# command: (trial function, its summary counts: name -> whether a report counts)
+# command: (planner, trial on a plan, its summary counts: name -> whether a report counts)
 _TRIAL_COMMANDS = {
-    "couple": (run_coupling_trial, {
+    "couple": (_plan_chain, _chain_trial, {
         "guards_all_ok": lambda r: all(r.guard_events.values()),
         "contained_given_guards": lambda r: all(r.guard_events.values()) and r.contained,
     }),
-    "collector": (coupon_collector_trial, {"delta_ge_1": lambda r: r.delta_ge_1}),
+    "collector": (_plan_collector, _collector_trial, {"delta_ge_1": lambda r: r.delta_ge_1}),
 }
 
 
 def _cmd_trials(args) -> int:
     """One JSON line per couple or collector trial, then a summary line."""
-    trial, counts = _TRIAL_COMMANDS[args.command]
-    probs = _load_probabilities(args)  # every input is checked before any output
+    planner, trial, counts = _TRIAL_COMMANDS[args.command]
+    probs = _load_probabilities(args)
     if args.trials < 0:
         raise ValidationError(f"--trials must be nonnegative, got {args.trials}")
     omega = args.omega if args.omega is not None else default_omega(args.n)
-    check_omega(omega)
+    plan = planner(args.n, probs, omega)  # every model check, once, before any output
     seed = Seed(args.seed)
     summary = {"trials": args.trials, "omega": omega, **dict.fromkeys(counts, 0)}
     for t in range(args.trials):
-        report = trial(args.n, probs, omega, seed.child(args.command, t))
+        report = trial(plan, seed.child(args.command, t))
         print(json.dumps({**dataclasses.asdict(report), "trial": t}, sort_keys=True))
         for name, holds in counts.items():
             summary[name] += 1 if holds(report) else 0

@@ -21,15 +21,22 @@ Three experiments, each reproducible from a Seed:
   collector process: feature sets are the distinct vertices seen in
   per-feature phases of uniform draws, so full coverage of the coupon set
   is literally the event that no vertex stays isolated.  It shares the
-  chain's start (stats, law and the ``sizes`` stream) and reads the
-  ``coupons`` stream in blocks of 4096 draws: the phases take them one by
-  one, and the coverage time is the last first occurrence of a vertex,
-  from ``np.unique`` over the drawn blocks, extended past the
-  construction until every vertex has come up or a cap is passed.
+  chain's plan and ``sizes`` stream and reads the ``coupons`` stream in
+  blocks of 4096 draws, one block at a time as a Python list: a phase
+  that lacks k vertices takes the next k draws into its set at once, since
+  it needs at least that many.  The coverage time is the last first
+  occurrence of a vertex, a scatter-min (``np.minimum.at``) of the draw
+  indices over the drawn blocks, extended past the construction until
+  every vertex has come up or a cap is passed.
 
 * ``poissonization_test`` checks the distributional identity between the
   draws-with-repetition model with a Poisson draw count and the
   independent-hyperedge model.
+
+Both trials run on a plan (``_plan_chain``, ``_plan_collector``) that makes
+every model check and computes the statistics and the law once; ``rig-lab
+couple`` and ``rig-lab collector`` plan once per run, before any output,
+and the public trial functions plan on each call.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .errors import CoverageNotReached, ValidationError
-from .graphs import (RigInstance, SimpleGraph, _check_key_range, _in_sorted, _sorted_rows,
+from .graphs import (RigInstance, SimpleGraph, _check_key_range, _cut_rows, _in_sorted,
                      _unique_keys, _universe, project_rig)
 from .sampling import (
     MAX_DRAWS,
@@ -53,27 +60,54 @@ from .sampling import (
     sample_g_star_poisson,
     sample_h_independent,
 )
-from .thresholds import ThresholdStats, poisson_hit_probability, sandwich_law, summary_stats
+from .thresholds import poisson_hit_probability, sandwich_law, summary_stats
 
 
-def _trial_start(n: int, p: FeatureProbabilities, omega: float,
-                 seed: Seed) -> tuple[ThresholdStats, tuple[str, float, float, float], np.ndarray]:
-    """What both trials start from: the stats, ``sandwich_law`` at omega, and each
-    feature's active size -- its Binomial(n, p_i) size on the ``sizes`` stream, or 0
-    below 2 (singletons make no edges)."""
+@dataclass(frozen=True)
+class _Plan:
+    """One couple or collector run's model, checked once, and what each of its
+    trials reads: S1, ``sandwich_law`` at omega, and the collector's window
+    T_minus = S1 - slack, T_plus = S1 + slack + S1/(omega*ln n)."""
+
+    n: int
+    p: FeatureProbabilities
+    omega: float
+    s1: float
+    law: tuple[str, float, float, float]
+    t_minus: float
+    t_plus: float
+
+
+def _plan_chain(n: int, p: FeatureProbabilities, omega: float) -> _Plan:
+    """Every model check of a couple run: the key range, S1 > 0 and the law at omega."""
     _check_key_range(n, p.m)
     st = summary_stats(n, p, t_max=2)
     if st.S1 <= 0:
         raise ValidationError("degenerate model: S1 = 0")
     law = sandwich_law(st, omega)
-    sizes = seed.child("sizes").rng().binomial(n, p.values)
-    return st, law, np.where(sizes >= 2, sizes, 0)
+    s1, slack = st.S1, law[3]
+    return _Plan(n, p, omega, s1, law, s1 - slack, s1 + slack + s1 / (omega * math.log(n)))
+
+
+def _plan_collector(n: int, p: FeatureProbabilities, omega: float) -> _Plan:
+    """``_plan_chain``, and a ValidationError when T_plus overflows (omega near 0)."""
+    plan = _plan_chain(n, p, omega)
+    if not math.isfinite(plan.t_plus):
+        raise ValidationError(f"T_plus = {plan.t_plus} is not finite at omega = {omega!r}")
+    return plan
+
+
+def _active_sizes(plan: _Plan, seed: Seed) -> np.ndarray:
+    """Each feature's active size: its Binomial(n, p_i) size on the ``sizes``
+    stream, or 0 below 2 (singletons make no edges)."""
+    sizes = seed.child("sizes").rng().binomial(plan.n, plan.p.values)
+    return np.where(sizes >= 2, sizes, 0)
 
 
 def _rebuild(n: int, active: np.ndarray, pairs: np.ndarray, triples: np.ndarray,
              rng_pad: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Feature sets rebuilt from their draws, as sorted keys ``f * n + v``,
-    and the key of every endpoint of every draw.
+    and the sorted, distinct keys of the draws' endpoints.
 
     Feature f of active size y takes the next (y - 3z)/2 rows of ``pairs``
     and the next z = y mod 2 rows of ``triples``.  Its set is the touched
@@ -83,8 +117,7 @@ def _rebuild(n: int, active: np.ndarray, pairs: np.ndarray, triples: np.ndarray,
     m = len(active)
     odd = active % 2
     owners = np.repeat(np.tile(np.arange(m), 2), np.concatenate((active - 3 * odd, 3 * odd)))
-    draw_keys = owners * n + np.concatenate((pairs.ravel(), triples.ravel()))
-    touched = _unique_keys(draw_keys)
+    touched = _unique_keys(owners * n + np.concatenate((pairs.ravel(), triples.ravel())))
     hits = np.bincount(touched // n, minlength=m)
     missing = active - hits
     _, pad = _floyd_rows(missing, n - hits, rng_pad)
@@ -94,7 +127,7 @@ def _rebuild(n: int, active: np.ndarray, pairs: np.ndarray, triples: np.ndarray,
     gaps = touched - (np.arange(len(touched)) - np.repeat(first, hits))
     queries = np.repeat(np.arange(m) * n, missing) + pad
     pad_keys = queries + np.searchsorted(gaps, queries, side="right") - np.repeat(first, missing)
-    return np.sort(np.concatenate((touched, pad_keys))), draw_keys
+    return np.sort(np.concatenate((touched, pad_keys))), touched
 
 
 def _edge_keys(n: int, pairs: np.ndarray, triples: np.ndarray) -> np.ndarray:
@@ -161,7 +194,14 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
     Negative Poisson means clamp to 0 and mark the matching guard False;
     regime_infeasible marks the "small-S3" regime.
     """
-    st, (regime, mean_pairs, mean_triples, slack), active = _trial_start(n, p, omega, seed)
+    return _chain_trial(_plan_chain(n, p, omega), seed)
+
+
+def _chain_trial(plan: _Plan, seed: Seed) -> CouplingReport:
+    """``run_coupling_trial`` on a planned model."""
+    n, m = plan.n, plan.p.m
+    regime, mean_pairs, mean_triples, slack = plan.law
+    active = _active_sizes(plan, seed)
     # each odd active size takes one triple, the rest of every size goes in pairs
     sum_active = int(active.sum())
     triple_draws = int((active % 2).sum())
@@ -178,19 +218,19 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
 
     pairs = pair_stream[:pair_draws]
     triples = triple_stream[:triple_draws]
-    members, draw_keys = _rebuild(n, active, pairs, triples, seed.child("padding").rng())
-    rig = project_rig(RigInstance._wrap(n, p.m, *_sorted_rows(members, n, p.m)))
+    members, touched = _rebuild(n, active, pairs, triples, seed.child("padding").rng())
+    rig = project_rig(RigInstance._wrap(n, m, *_cut_rows(members, n, m)))
     tails, heads = rig.arcs()
     prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
 
     guards = {
         "poisson_pairs_ok": (poisson_pairs <= pair_draws) and not mean_pairs < 0,
         "poisson_triples_ok": (poisson_triples <= triple_draws) and not mean_triples < 0,
-        "size_concentration_ok": abs(sum_active - st.S1) <= slack,
+        "size_concentration_ok": abs(sum_active - plan.s1) <= slack,
     }
     return CouplingReport(
         contained=bool(_in_sorted(tails * n + heads, prefix_edges).all()),  # CSR rows: sorted
-        per_feature_contained=bool(_in_sorted(members, draw_keys).all()),
+        per_feature_contained=bool(_in_sorted(members, touched).all()),  # sorted queries
         guard_events=guards,
         pair_draws=pair_draws,
         triple_draws=triple_draws,
@@ -201,7 +241,7 @@ def run_coupling_trial(n: int, p: FeatureProbabilities, omega: float, seed: Seed
         coupled_edge_count=len(_edge_keys(n, pairs, triples)),
         prefix_edge_count=len(prefix_edges),
         regime_infeasible=regime == "small-S3",
-        omega=omega,
+        omega=plan.omega,
     )
 
 
@@ -237,13 +277,6 @@ class CollectorReport:
 _COUPON_BLOCK = 4096  # coupons per generator call
 
 
-def _coupon_stream(rng: np.random.Generator, n: int, blocks: list[np.ndarray]):
-    """Uniform vertices of range(n), drawn from ``rng`` in blocks that are kept in ``blocks``."""
-    while True:
-        blocks.append(rng.integers(0, n, size=_COUPON_BLOCK))
-        yield from blocks[-1].tolist()
-
-
 def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
                            seed: Seed) -> CollectorReport:
     """Run the phase-structured coupon collector coupled to the construction.
@@ -254,36 +287,53 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     times beyond T are still observed.  A T_plus that overflows (omega near
     0) is a ValidationError.
     """
-    st, (*_, slack), active = _trial_start(n, p, omega, seed)
-    s1 = st.S1
-    t_minus = s1 - slack
-    t_plus = s1 + slack + s1 / (omega * math.log(n))
-    if not math.isfinite(t_plus):
-        raise ValidationError(f"T_plus = {t_plus} is not finite at omega = {omega!r}")
+    return _collector_trial(_plan_collector(n, p, omega), seed)
+
+
+def _first_seen(stream: np.ndarray, n: int) -> np.ndarray:
+    """Each vertex's first index in ``stream``, or ``len(stream)`` if it never comes up."""
+    first = np.full(n, len(stream))
+    np.minimum.at(first, stream, np.arange(len(stream)))
+    return first
+
+
+def _collector_trial(plan: _Plan, seed: Seed) -> CollectorReport:
+    """``coupon_collector_trial`` on a planned model."""
+    n, omega, s1, slack = plan.n, plan.omega, plan.s1, plan.law[3]
+    t_minus, t_plus = plan.t_minus, plan.t_plus
+    active = _active_sizes(plan, seed)
 
     rng_draws = seed.child("coupons").rng()
     blocks: list[np.ndarray] = []  # the coupon stream, as drawn
-    coupons = _coupon_stream(rng_draws, n, blocks)
-    construction_draws = 0
+    buf: list[int] = []  # the last block drawn, read up to pos; read out once pos >= its size
+    pos = _COUPON_BLOCK
     for size in active[active > 0].tolist():
-        phase: set[int] = set()
+        # a phase needs at least as many more draws as it lacks vertices, so it
+        # takes them all at once, and it ends on the draw that fills it
+        phase = set(buf[pos:pos + size])
+        pos += size
         while len(phase) < size:
-            phase.add(next(coupons))
-            construction_draws += 1
+            if pos >= _COUPON_BLOCK:
+                blocks.append(rng_draws.integers(0, n, size=_COUPON_BLOCK))
+                buf, pos = blocks[-1].tolist(), 0
+            short = size - len(phase)
+            phase.update(buf[pos:pos + short])
+            pos += short
+    construction_draws = len(blocks) * _COUPON_BLOCK - (_COUPON_BLOCK - pos)
 
     # keep collecting on the same stream to observe the coverage time
     cap = construction_draws + 64 * n * max(1, math.ceil(math.log(max(n, 2)))) + 4096
     stream = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    seen, first = np.unique(stream, return_index=True)
-    while len(seen) < n and len(stream) < cap:
+    first = _first_seen(stream, n)
+    while first.max() == len(stream) and len(stream) < cap:
         # double the stream (up to the cap) so the repeated searches cost a constant factor
         more = min(max(1, len(blocks)), math.ceil((cap - len(stream)) / _COUPON_BLOCK))
         blocks += [rng_draws.integers(0, n, size=_COUPON_BLOCK) for _ in range(more)]
         stream = np.concatenate(blocks)
-        seen, first = np.unique(stream, return_index=True)
-    if len(seen) < n or first.max() >= cap:
-        raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
+        first = _first_seen(stream, n)
     covered_at = int(first.max()) + 1
+    if covered_at > min(len(stream), cap):
+        raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
     delta_ge_1 = covered_at <= construction_draws
 
     sum_active = int(active.sum())

@@ -83,7 +83,11 @@ def _in_sorted(keys: np.ndarray, values):
 def _sorted_rows(keys: np.ndarray, width: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR ``(indptr, columns)`` of ``rows`` sorted, duplicate-free rows, both
     int64, from int32 or int64 keys ``row * width + column`` in any order."""
-    keys = _unique_keys(keys)
+    return _cut_rows(_unique_keys(keys), width, rows)
+
+
+def _cut_rows(keys: np.ndarray, width: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_sorted_rows`` of keys that are already sorted and distinct."""
     return (np.searchsorted(keys, np.arange(rows + 1, dtype=keys.dtype) * width),
             (keys % max(width, 1)).astype(np.int64, copy=False))
 

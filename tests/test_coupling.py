@@ -224,8 +224,10 @@ def test_collector_coverage_cap_is_a_typed_error(monkeypatch, capsys):
     (2, FeatureProbabilities.homogeneous(5, 0.5), 20),
     (12, FeatureProbabilities.homogeneous(3, 1e-9), 5),  # every feature empty
     (40, FeatureProbabilities((1 - 1e-12,)), 5),  # one feature holding every vertex
+    # a phase of about 24k draws, across several 4096-draw blocks
+    (3000, FeatureProbabilities((1 - 1e-12,)), 3),
     (10, FeatureProbabilities.homogeneous(500, 0.05), 10),  # m >> n
-], ids=["n=m=2000", "n=2", "all-empty", "one-full", "m>>n"])
+], ids=["n=m=2000", "n=2", "all-empty", "one-full", "one-full-many-blocks", "m>>n"])
 def test_collector_matches_per_draw_oracle(n, p, trials):
     for t in range(trials):
         seed = Seed(17).child("oracle", t)

@@ -767,14 +767,39 @@ def test_cli_couple_and_collector(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
-    bad_inputs = [["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"],
-                  ["--omega", "inf"], ["--omega", "nan"], ["--omega", "1e308"]]
-    # 5e-324 keeps the law finite but sends the collector's T_plus to infinity
-    for command, extra in (("couple", []), ("collector", [["--omega", "5e-324"]])):
-        for bad in bad_inputs + extra:
-            assert cli.main([command, "--n", "50", "--m", "50", "--p", "0.05", *bad]) == 2
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    bad_inputs = [[command, "--n", "50", "--m", "50", "--p", "0.05", *bad]
+                  for command in ("couple", "collector")
+                  for bad in (["--trials", "-1"], ["--trials", "0", "--omega", "-1"], ["--omega", "0"],
+                              ["--omega", "inf"], ["--omega", "nan"], ["--omega", "1e308"])]
+    bad_inputs += [
+        # 5e-324 keeps the law finite but sends the collector's T_plus to infinity
+        ["collector", "--n", "50", "--m", "50", "--p", "0.05", "--omega", "5e-324"],
+        # the model is checked before the first trial, so a run of no trials fails too
+        ["collector", "--n", "50", "--m", "50", "--p", "0.04", "--trials", "0", "--omega", "5e-324"],
+        ["couple", "--n", "50", "--m", "50", "--p", "1e-300", "--trials", "0"],  # S1 = 0
+    ]
+    for argv in bad_inputs:
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["couple", "collector"])
+def test_cli_trials_plan_once_per_run(command, monkeypatch, capsys):
+    from rig_lab import coupling
+
+    calls = []
+    original = coupling.summary_stats
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "summary_stats", counting)
+    assert cli.main([command, "--n", "60", "--m", "60", "--p", "0.03", "--trials", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("base, clipped", [
