@@ -12,10 +12,10 @@ Three experiments, each reproducible from a Seed:
   ``padding`` (one block of uniforms for Floyd's rule, in feature order)
   and ``poisson`` (the pair count, then the triple count).  The rebuilt
   features are a RigInstance projected by ``project_rig``; the prefix
-  edges are looked up among its arc keys, and the draws among the
-  memberships, by ``graphs._in_sorted``.  The Poisson means, the regime
-  and the concentration slack are ``thresholds.sandwich_law``, which
-  ``rig-lab stats`` prints.
+  edges are looked up in its sorted CSR rows by ``graphs._has_arcs``, and
+  the draws among the memberships by ``graphs._in_sorted``.  The Poisson
+  means, the regime and the concentration slack are
+  ``thresholds.sandwich_law``, which ``rig-lab stats`` prints.
 
 * ``coupon_collector_trial`` couples the construction with a coupon
   collector process: feature sets are the distinct vertices seen in
@@ -48,8 +48,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .errors import CoverageNotReached, ValidationError
-from .graphs import (RigInstance, SimpleGraph, _check_key_range, _cut_rows, _in_sorted,
-                     _unique_keys, _universe, project_rig)
+from .graphs import (RigInstance, SimpleGraph, _check_key_range, _cut_rows, _has_arcs,
+                     _in_sorted, _unique_keys, _universe, project_rig)
 from .sampling import (
     MAX_DRAWS,
     FeatureProbabilities,
@@ -220,7 +220,6 @@ def _chain_trial(plan: _Plan, seed: Seed) -> CouplingReport:
     triples = triple_stream[:triple_draws]
     members, touched = _rebuild(n, active, pairs, triples, seed.child("padding").rng())
     rig = project_rig(RigInstance._wrap(n, m, *_cut_rows(members, n, m)))
-    tails, heads = rig.arcs()
     prefix_edges = _edge_keys(n, pair_stream[:poisson_pairs], triple_stream[:poisson_triples])
 
     guards = {
@@ -229,7 +228,7 @@ def _chain_trial(plan: _Plan, seed: Seed) -> CouplingReport:
         "size_concentration_ok": abs(sum_active - plan.s1) <= slack,
     }
     return CouplingReport(
-        contained=bool(_in_sorted(tails * n + heads, prefix_edges).all()),  # CSR rows: sorted
+        contained=bool(_has_arcs(rig, prefix_edges // n, prefix_edges % n).all()),
         per_feature_contained=bool(_in_sorted(members, touched).all()),  # sorted queries
         guard_events=guards,
         pair_draws=pair_draws,

@@ -187,9 +187,11 @@ class ExperimentConfig:
         return cls(**{k: v for k, v in doc.items() if v is not None or required[k]})
 
     def manifest(self) -> dict:
-        """Config echo with every default filled in."""
+        """Config echo with every default filled in.  It holds the config's own
+        field values, the profile too (``asdict`` would deep-copy its m values)."""
         n_vertices = self.vertices_per_trial
-        return {**asdict(self), "vertices_per_trial": n_vertices, "version": __version__,
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "vertices_per_trial": n_vertices, "version": __version__,
                 "omega": default_omega(n_vertices) if self.omega is None else self.omega}
 
 

@@ -183,6 +183,23 @@ class SimpleGraph(_ArrayValue):
                          shape=(self.n, self.n))
 
 
+def _has_arcs(g: SimpleGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Per pair, whether (tails[i], heads[i]) is an edge of g: one bisection of
+    all the pairs' sorted rows at once, so no temporary is as long as the
+    graph's arc list."""
+    if not len(g.indices):
+        return np.zeros(len(tails), dtype=bool)
+    lo, end = g.indptr[tails], g.indptr[tails + 1]
+    span = end - lo
+    for _ in range(int(span.max(initial=0)).bit_length()):
+        half = span >> 1
+        mid = lo + half
+        below = (g.indices.take(mid, mode="clip") < heads) & (span > 0)
+        lo = np.where(below, mid + 1, lo)
+        span = np.where(below, span - half - 1, half)
+    return (lo < end) & (g.indices.take(lo, mode="clip") == heads)
+
+
 class RigInstance(_ArrayValue):
     """Vertex-feature incidence: feature i is held by the vertices
     ``members[indptr[i]:indptr[i + 1]]``, a sorted, duplicate-free row.

@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
                                   maximum_bipartite_matching, maximum_flow)
 
 from .errors import ValidationError
-from .graphs import Edge, SimpleGraph, _in_sorted
+from .graphs import Edge, SimpleGraph, _has_arcs, _in_sorted
 from .sampling import Seed, _as_rng
 
 DEFAULT_HC_BUDGET = 200_000
@@ -53,21 +53,6 @@ def is_connected(g: SimpleGraph) -> bool:
 
 
 _FLOW_ARC_CAP = 1 << 14  # arcs past which the pair copies go to a new flow network
-
-
-def _has_arcs(g: SimpleGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Per pair, whether (tails[i], heads[i]) is an edge of g, which has at
-    least one edge: one bisection of all the pairs' sorted rows at once, so no
-    temporary is as long as the graph's arc list."""
-    lo, end = g.indptr[tails], g.indptr[tails + 1]
-    hi = end
-    while (live := lo < hi).any():
-        mid = (lo + hi) // 2
-        below = live & (g.indices[np.where(live, mid, 0)] < heads)
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(live & ~below, mid, hi)
-    found = lo < end
-    return found & (g.indices[np.where(found, lo, 0)] == heads)
 
 
 def _cut_pairs(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:

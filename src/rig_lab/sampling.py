@@ -22,6 +22,9 @@ doubles for each feature with k_i < n and none for a feature with k_i = n
 (it holds every vertex).  Feature i's block feeds Floyd's algorithm
 (``_floyd_rows``, which the coupling padding shares): step j
 takes t = floor(u_j * (n - k_i + 1 + j)), or n - k_i + j when t is taken.
+The candidates t of every feature are computed at once, and the collision
+rule runs at once on every feature with a repeated candidate (its scalar
+form, one step at a time, is the tests' ``_oracle_floyd``).
 PCG64 doubles come off the stream one at a time, so the block is the same
 whether it is drawn in one call or in one call per feature.
 
@@ -139,21 +142,6 @@ def _as_rng(seed) -> np.random.Generator:
     raise ValidationError(f"expected Seed or numpy Generator, got {type(seed).__name__}")
 
 
-def _floyd(u: np.ndarray, n: int, k: int) -> list[int]:
-    """Floyd's uniform k-subset of range(n), k < n, from k uniforms in [0, 1).
-
-    Step j takes t = floor(u[j] * (n - k + 1 + j)), or n - k + j when t was
-    already taken; the k results are distinct.
-    """
-    chosen: set[int] = set()
-    for j in range(k):
-        t = int(u[j] * (n - k + 1 + j))
-        if t in chosen:
-            t = n - k + j
-        chosen.add(t)
-    return sorted(chosen)
-
-
 def _floyd_rows(counts: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray]:
     """Row f is a uniform ``counts[f]``-subset of ``range(sizes[f])``, as CSR
@@ -161,29 +149,56 @@ def _floyd_rows(counts: np.ndarray, sizes: np.ndarray, rng: np.random.Generator
 
     One ``rng.random`` block feeds every row in order: ``counts[f]`` doubles
     for a row with ``counts[f] < sizes[f]`` and none for a full row.  Every
-    row's Floyd candidates are computed at once, and only rows with a
-    repeated candidate rerun the scalar rule ``_floyd``.
+    row's Floyd candidates are computed at once; only rows with a repeated
+    candidate apply the collision rule, all of them at once.
     """
     draws = np.where(counts < sizes, counts, 0)
     u = rng.random(int(draws.sum()))
     starts = np.cumsum(draws) - draws
-    j = np.arange(len(u)) - np.repeat(starts, draws)
-    candidates = (u * (np.repeat(sizes - draws, draws) + 1 + j)).astype(np.int64)
+    # step j of a row with k draws takes floor(u_j * top), top = size - k + j + 1, or
+    # its spare top - 1 when that is taken
+    tops = np.repeat(sizes - draws + 1 - starts, draws) + np.arange(len(u))
     width = max(int(sizes.max(initial=0)), 1)
     rows = np.arange(len(counts)) * width
+    candidates = np.repeat(rows, draws) + (u * tops).astype(np.int64)
     full = np.flatnonzero(draws != counts)
     fill = sizes[full]
-    keys = np.concatenate((np.repeat(rows, draws) + candidates,
+    keys = np.concatenate((candidates,
                            np.repeat(rows[full] - np.cumsum(fill) + fill, fill) + np.arange(fill.sum())))
     keys.sort()  # by row, then by value
     indptr = np.concatenate(([0], np.cumsum(counts)))
     values = keys % width
-    # a repeated candidate is where Floyd's collision rule fires
     repeats = keys[1:] == keys[:-1]
-    for f in np.unique(keys[1:][repeats] // width).tolist() if repeats.any() else ():
-        values[indptr[f]:indptr[f + 1]] = _floyd(u[starts[f]:starts[f] + draws[f]],
-                                                 int(sizes[f]), int(draws[f]))
+    if repeats.any():
+        bad = np.zeros(len(counts), dtype=bool)
+        bad[keys[1:][repeats] // width] = True
+        in_bad = np.repeat(bad, draws)
+        _collide(values, indptr, np.flatnonzero(bad), candidates[in_bad], tops[in_bad], width)
     return indptr, values
+
+
+def _collide(values: np.ndarray, indptr: np.ndarray, bad: np.ndarray, candidates: np.ndarray,
+             tops: np.ndarray, width: int) -> None:
+    """Floyd's collision rule on rows ``bad``, written into their CSR ``values``:
+    their candidates' keys ``row * width + value`` and their steps' tops are in
+    draw order.  A step takes its spare, top - 1, iff its candidate repeats an
+    earlier one in its row or equals the spare an earlier step took.  That
+    test reads only earlier steps (a spare exceeds every earlier step's value),
+    so the steps that take their spares are its least fixed point, grown from
+    the repeats."""
+    spares = candidates - candidates % width + tops - 1
+    order = np.argsort(candidates, kind="stable")
+    repeated = candidates[order[1:]] == candidates[order[:-1]]
+    spare = np.zeros(len(candidates), dtype=bool)
+    spare[order[1:][repeated]] = True
+    while True:
+        grown = spare | np.isin(candidates, spares[spare])
+        if grown.sum() == spare.sum():
+            break
+        spare = grown
+    sizes = indptr[bad + 1] - indptr[bad]
+    at = np.repeat(indptr[bad] - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    values[at] = np.sort(np.where(spare, spares, candidates)) % width
 
 
 def sample_rig(n: int, p: FeatureProbabilities, seed) -> RigInstance:

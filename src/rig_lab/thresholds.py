@@ -12,6 +12,10 @@ S1 is the expected total size of the non-singleton feature classes, S3 the
 expected number of odd ones (size >= 3), S2 = S1 - S3, and S1t the size-t
 slice, so S1 = sum_t S1t.  These drive both the coupling's sandwich law and
 the c-axis parameterization of the sweep experiments.
+
+Each sum evaluates its term once per distinct p_i and adds it with the
+value's multiplicity exactly (``_fsum``), so the result is the correctly
+rounded sum over all m features at the cost of the distinct values.
 """
 
 from __future__ import annotations
@@ -84,39 +88,60 @@ def _one_minus_pow_1m_2p(p: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _fsum(terms: np.ndarray) -> float:
-    """Compensated summation over features (m can reach 1e7)."""
-    return math.fsum(terms.tolist())
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The distinct entries of values, ascending, and the ``_fsum`` weights of
+    their multiplicities."""
+    distinct, counts = np.unique(values, return_counts=True)
+    return distinct, _weights(counts)
 
 
-def _s1(n: int, arr: np.ndarray) -> float:
-    """S1 = sum_i n*p_i*(1 - (1-p_i)^(n-1)) over a probability array."""
-    return _fsum(n * arr * -np.expm1((n - 1) * np.log1p(-arr)))
+def _weights(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The binary expansion of nonnegative counts as ``(index, factor)``: one
+    piece per set bit b of counts[i], with index i and factor 2**b."""
+    bits = np.arange(int(counts.max(initial=0)).bit_length())
+    index, bit = np.nonzero((counts[:, None] >> bits) & 1)
+    return index, np.ldexp(1.0, bit)
+
+
+def _fsum(terms: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> float:
+    """The sum of counts[i] copies of terms[i], correctly rounded, for the
+    ``_weights`` of counts: ``math.fsum`` over the pieces terms[i] * 2**b.
+    Scaling by a power of two is exact, so this equals ``math.fsum`` over
+    the expanded list, which can hold m = 1e7 terms."""
+    index, factor = weights
+    return math.fsum((terms[index] * factor).tolist())
+
+
+def _s1(n: int, arr: np.ndarray, weights: tuple[np.ndarray, np.ndarray]) -> float:
+    """S1 = sum_i n*p_i*(1 - (1-p_i)^(n-1)) over distinct probabilities and
+    the weights of their multiplicities."""
+    return _fsum(n * arr * -np.expm1((n - 1) * np.log1p(-arr)), weights)
 
 
 def summary_stats(n: int, p: FeatureProbabilities, t_max: int | None = None) -> ThresholdStats:
-    """Evaluate S1, S2, S3 and S1t for t = 2..t_max."""
+    """Evaluate S1, S2, S3 and S1t for t = 2..t_max, each term once per
+    distinct probability value."""
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
     if t_max is None:
         t_max = min(n, DEFAULT_T_MAX)
     if not (2 <= t_max <= n):
         raise ValidationError(f"t_max must lie in [2, {n}], got {t_max}")
-    arr = p.values
+    arr, weights = _distinct(p.values)
     np_i = n * arr
     q_pow = _pow_1m_p(arr, n - 1)                     # (1-p)^(n-1)
     one_m_w = _one_minus_pow_1m_2p(arr, n)            # 1 - (1-2p)^n
     # per-feature terms, expanded so that p never sits in a denominator
-    s1 = _s1(n, arr)
-    s2 = _fsum(np_i - one_m_w / 2.0)
-    s3 = _fsum(one_m_w / 2.0 - np_i * q_pow)
+    s1 = _s1(n, arr, weights)
+    s2 = _fsum(np_i - one_m_w / 2.0, weights)
+    s3 = _fsum(one_m_w / 2.0 - np_i * q_pow, weights)
     log_p = np.log(arr)
     log_q = np.log1p(-arr)
     s1t = []
     for t in range(2, t_max + 1):
         log_binom = math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1)
         terms = t * np.exp(log_binom + t * log_p + (n - t) * log_q)
-        s1t.append(_fsum(terms))
+        s1t.append(_fsum(terms, weights))
     a_n = (s1t[0] / s1) if s1 > 0 else 0.0
     return ThresholdStats(n=n, m=p.m, S1=s1, S2=s2, S3=s3, S1t=tuple(s1t), a_n=a_n)
 
@@ -215,26 +240,28 @@ def homogeneous_p_for_target(n: int, m: int, rhs: float) -> float:
 
 def _scale_explicit(n: int, base: tuple[float, ...], s1_target: float) -> FeatureProbabilities:
     """Scale a base profile by a scalar (entries clipped into (0,1)) to hit S1,
-    searching on arrays and building the FeatureProbabilities once."""
+    searching on the base's distinct values and building the full profile once.
+    Clipping may merge two values; the sum is exact either way."""
     base = np.asarray(base, dtype=np.float64)
+    distinct, weights = _distinct(base)
 
-    def scaled(scale: float) -> np.ndarray:
-        return np.minimum(1.0 - 1e-12, np.fmax(1e-300, scale * base))
+    def scaled(scale: float, values: np.ndarray) -> np.ndarray:
+        return np.minimum(1.0 - 1e-12, np.fmax(1e-300, scale * values))
 
     def excess(scale: float) -> float:
-        return _s1(n, scaled(scale)) - s1_target
+        return _s1(n, scaled(scale, distinct), weights) - s1_target
 
     hi = 1.0
     while excess(hi) < 0:
         hi *= 2.0
         if hi > 1e9:
             raise OutOfRangeError(f"explicit profile cannot reach S1 target {s1_target}")
-    probs = scaled(_bisect(excess, 0.0, hi, 1e-13))
-    resid = abs(_s1(n, probs) - s1_target) / s1_target
+    scale = _bisect(excess, 0.0, hi, 1e-13)
+    resid = abs(excess(scale)) / s1_target
     if not resid <= 1e-8:
         raise OutOfRangeError(
             f"profile scaling residual {resid:.2e} exceeds 1e-8 for S1 target {s1_target}")
-    return FeatureProbabilities(probs)
+    return FeatureProbabilities(scaled(scale, base))
 
 
 def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:

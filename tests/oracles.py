@@ -19,6 +19,7 @@ from rig_lab import (CoverageNotReached, FeatureProbabilities, OutOfRangeError, 
                      hamiltonicity, has_perfect_matching, is_connected, is_k_connected,
                      min_degree, summary_stats)
 from rig_lab.properties import is_biconnected
+from rig_lab.thresholds import _one_minus_pow_1m_2p, _pow_1m_p
 from rig_lab.coupling import CollectorReport, CouplingReport
 
 
@@ -498,6 +499,30 @@ def oracle_stats(n, pvec):
         return float(s1), float(s2), float(s3), [float(x) for x in s1t[2:]]
 
 
+def oracle_fsum(terms, counts=None):
+    """The feature sum before sums ran over distinct values: ``math.fsum``
+    over the m-term list, counts[i] copies of terms[i] (one each by default)."""
+    if counts is not None:
+        terms = np.repeat(terms, counts)
+    return math.fsum(np.asarray(terms, dtype=np.float64).tolist())
+
+
+def oracle_feature_sums(n, values, t_max):
+    """(S1, S2, S3, S1t) by the closed forms of ``summary_stats``, each summed
+    term by term over all m features with ``oracle_fsum``."""
+    arr = np.asarray(values, dtype=np.float64)
+    np_i = n * arr
+    one_m_w = _one_minus_pow_1m_2p(arr, n)
+    s1 = oracle_fsum(n * arr * -np.expm1((n - 1) * np.log1p(-arr)))
+    s2 = oracle_fsum(np_i - one_m_w / 2.0)
+    s3 = oracle_fsum(one_m_w / 2.0 - np_i * _pow_1m_p(arr, n - 1))
+    s1t = []
+    for t in range(2, t_max + 1):
+        log_binom = math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+        s1t.append(oracle_fsum(t * np.exp(log_binom + t * np.log(arr) + (n - t) * np.log1p(-arr))))
+    return s1, s2, s3, tuple(s1t)
+
+
 # --- threshold helpers that no library path or command uses -----------------
 
 
@@ -781,14 +806,15 @@ def hypergraph_from_text(text):
 
 def oracle_scale_explicit(n, base, s1_target):
     """Scale a base profile by a scalar (entries clipped into (0,1)) to hit S1,
-    building a FeatureProbabilities at every search step."""
+    building a FeatureProbabilities at every search step and summing S1 over
+    all m features."""
     top = 1.0 - 1e-12
 
     def stats_for(scale):
         return FeatureProbabilities(tuple(min(top, max(1e-300, scale * b)) for b in base))
 
     def s1_of(scale):
-        return summary_stats(n, stats_for(scale), t_max=2).S1
+        return oracle_feature_sums(n, stats_for(scale).values, 2)[0]
 
     hi = 1.0
     while s1_of(hi) < s1_target:

@@ -122,6 +122,23 @@ def test_run_coupling_trial_prefix_respects_guards():
     assert guard_hits >= 30  # concentration should make guards typical
 
 
+def test_run_coupling_trial_edgeless_rig_and_empty_prefix():
+    # every feature may stay below size 2; at omega = 0.01 the pair mean is
+    # positive, so a drawn prefix edge is not contained in the edgeless rig,
+    # and at omega = 2 both means are negative, so the prefix is empty
+    n, p = 40, FeatureProbabilities.homogeneous(5, 0.04)
+    kinds = set()
+    for omega in (0.01, 2.0):
+        for t in range(100):
+            seed = Seed(5).child("edgeless", t)
+            report = run_coupling_trial(n, p, omega, seed)
+            assert report == oracle_run_coupling_trial(n, p, omega, seed)
+            if report.rig_edge_count == 0:
+                kinds.add(report.prefix_edge_count > 0)
+                assert report.contained == (report.prefix_edge_count == 0)
+    assert kinds == {False, True}
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_run_coupling_trial_matches_set_oracle(data):

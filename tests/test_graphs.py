@@ -78,6 +78,20 @@ def test_in_sorted_on_empty_keys():
     assert not graphs._in_sorted(empty, 3)
 
 
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_has_arcs_matches_edge_membership(n, data):
+    # edgeless graphs and empty queries included
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = {(u, v) for u, v in data.draw(st.lists(pairs, max_size=30)) if u != v} if n else set()
+    queries = data.draw(st.lists(pairs, max_size=30)) if n else []
+    g = SimpleGraph(n, edges)
+    tails = np.array([u for u, _ in queries], dtype=np.int64)
+    heads = np.array([v for _, v in queries], dtype=np.int64)
+    assert graphs._has_arcs(g, tails, heads).tolist() == [
+        (u, v) in edges or (v, u) in edges for u, v in queries]
+
+
 def test_project_hypergraph_examples():
     tri = UniformHypergraph(3, 3, frozenset({(0, 1, 2)}))
     assert set(project_hypergraph(tri).edge_list()) == frozenset({(0, 1), (0, 2), (1, 2)})

@@ -27,7 +27,8 @@ from rig_lab import (
 from rig_lab.experiments import render_results_csv, render_summary_json
 from rig_lab.graphs import rank_subsets
 from rig_lab.sampling import MAX_DRAWS, _floyd_rows, draw_subsets, unrank_subsets
-from oracles import oracle_project_rig, oracle_sample_rig, subset_rank, subset_unrank
+from oracles import (_oracle_floyd, oracle_project_rig, oracle_sample_rig, subset_rank,
+                     subset_unrank)
 
 
 def test_probability_vector_validation():
@@ -363,6 +364,60 @@ def test_sample_subset_uniformity():
     counts = np.bincount(values, minlength=6)
     freq = counts / counts.sum()
     assert np.all(np.abs(freq - 1 / 6) < 0.01)
+
+
+def _floyd_rows_by_oracle(counts, sizes, rng):
+    """Each row of ``_floyd_rows`` from the scalar rule, one row at a time on
+    its slice of the same uniforms block; a full row holds every value."""
+    draws = [k if k < size else 0 for k, size in zip(counts, sizes)]
+    u = rng.random(sum(draws))
+    ends = np.cumsum(draws).tolist()
+    return [list(range(size)) if k == size else _oracle_floyd(u[end - k:end], size, k)
+            for k, size, end in zip(counts, sizes, ends)]
+
+
+def _assert_floyd_rows_match_oracle(counts, sizes, seed):
+    rng, oracle_rng = Seed(seed).rng(), Seed(seed).rng()
+    indptr, values = _floyd_rows(np.array(counts), np.array(sizes), rng)
+    rows = [values[a:b].tolist() for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    assert rows == _floyd_rows_by_oracle(counts, sizes, oracle_rng)
+    assert rng.random() == oracle_rng.random()  # the same number of uniforms drawn
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose one ``random`` call returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_floyd_rows_match_scalar_rule_exhaustively(n):
+    # every candidate sequence of every k < n, one row each: step j's candidate
+    # t_j is any of 0..n-k+j, fed as the uniform (t_j + 1/2) / (n - k + 1 + j)
+    for k in range(n):
+        tops = np.arange(n - k + 1, n + 1)
+        candidates = np.array(list(itertools.product(*map(range, tops))), dtype=np.int64)
+        u = ((candidates + 0.5) / tops).ravel()
+        rows = len(candidates)
+        indptr, values = _floyd_rows(np.full(rows, k), np.full(rows, n), _FixedUniforms(u))
+        assert values.reshape(rows, k).tolist() == [_oracle_floyd(u[i * k:(i + 1) * k], n, k)
+                                                    for i in range(rows)]
+
+
+def test_floyd_rows_match_scalar_rule_with_uneven_sizes():
+    # rows of every size and count side by side, as the coupling padding draws them
+    pairs = [(k, size) for size in range(9) for k in range(size + 1)] * 20
+    order = np.random.default_rng(31).permutation(len(pairs))
+    for seed in range(6):
+        mixed = [pairs[i] for i in np.roll(order, 97 * seed)]
+        _assert_floyd_rows_match_oracle([k for k, _ in mixed], [size for _, size in mixed], seed)
+    _assert_floyd_rows_match_oracle([0, 0], [0, 0], 7)  # no row has a value
+    _assert_floyd_rows_match_oracle([3, 40, 2], [3, 60, 1000], 8)
 
 
 def test_draw_subsets_validation():

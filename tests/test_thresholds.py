@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from rig_lab import (
     run_coupling_trial,
     summary_stats,
 )
-from rig_lab.thresholds import sandwich_law
-from oracles import balanced_feature_ratio, c_from_s1, oracle_run_coupling_trial, oracle_stats
+from rig_lab.thresholds import _distinct, _fsum, _scale_explicit, _weights, sandwich_law
+from oracles import (balanced_feature_ratio, c_from_s1, oracle_feature_sums, oracle_fsum,
+                     oracle_run_coupling_trial, oracle_stats)
 
 
 def test_hand_example_n3():
@@ -61,6 +63,73 @@ def test_stats_match_oracle_random_instances():
         assert st_.S3 == pytest.approx(o3, rel=1e-9, abs=1e-12)
         for got, want in zip(st_.S1t, o1t):
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+# finite terms of both signs, with subnormals, the smallest normal and near-cancelling pairs;
+# at most 1e250, so no count up to 2**40 overflows a piece or a sum
+_TERM = st.one_of(
+    st.floats(-1e250, 1e250, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0,
+                     1.0 + 2**-52, -(1.0 + 2**-52), 1e16, -1e16, 0.0]),
+)
+
+
+def _pool_entries(data, max_count):
+    """Terms drawn from a small pool (so values repeat) and their counts."""
+    pool = data.draw(st.lists(_TERM, min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                         st.integers(1, max_count)), min_size=1, max_size=12))
+    return (np.array([pool[i] for i, _ in picks], dtype=np.float64),
+            np.array([c for _, c in picks], dtype=np.int64))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fsum_matches_m_term_oracle(data):
+    terms, counts = _pool_entries(data, 60)
+    want = oracle_fsum(terms, counts).hex()
+    assert _fsum(terms, _weights(counts)).hex() == want
+    distinct, weights = _distinct(np.repeat(terms, counts))  # as summary_stats sums
+    assert _fsum(distinct, weights).hex() == want
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fsum_with_counts_to_2_40_is_the_rounded_exact_sum(data):
+    # m-term lists this long cannot be built; math.fsum of one is the exact sum
+    # rounded to nearest, ties to even, which float(Fraction) also gives
+    terms, counts = _pool_entries(data, 2**40)
+    exact = sum(Fraction(t) * int(c) for t, c in zip(terms.tolist(), counts.tolist()))
+    assert _fsum(terms, _weights(counts)).hex() == float(exact).hex()
+
+
+def _scaled(base):
+    n = 2000
+    return _scale_explicit(n, tuple(base), n * (math.log(n) + 1.0)).values
+
+
+_PROFILES = {
+    "three": lambda: np.repeat([0.01, 0.02, 0.3], [500, 500, 7]),
+    "nine": lambda: np.repeat(np.random.default_rng(23).uniform(1e-6, 0.6, 9),
+                              np.random.default_rng(24).integers(1, 300, 9)),
+    "homogeneous": lambda: np.full(40_000, 3e-5),
+    "distinct": lambda: np.random.default_rng(25).uniform(1e-4, 0.99, 300),  # counts all 1
+    "extremes": lambda: np.repeat([1e-300, 0.5, 0.5 + 2**-53, 1 - 1e-12], [3, 1, 4, 2]),
+    # the three bases of test_scale_explicit_matches_per_step_profiles, as planned
+    "two-scaled": lambda: _scaled([1.0, 4.0] * 1000),
+    "heavy-scaled": lambda: _scaled([i ** -0.5 for i in range(1, 2001)]),
+    "clipped-scaled": lambda: _scaled([1.0] * 5 + [1e-4] * 1995),
+}
+
+
+@pytest.mark.parametrize("profile", list(_PROFILES))
+def test_summary_stats_matches_m_term_sums(profile):
+    values = _PROFILES[profile]()
+    for n in (2, 50, 2000):
+        t_max = min(n, 12)
+        for order in (values, np.random.default_rng(n).permutation(values)):
+            st_ = summary_stats(n, FeatureProbabilities(order), t_max=t_max)
+            assert (st_.S1, st_.S2, st_.S3, st_.S1t) == oracle_feature_sums(n, order, t_max)
 
 
 @given(st.data())
