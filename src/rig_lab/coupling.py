@@ -25,9 +25,9 @@ Three experiments, each reproducible from a Seed:
   blocks of 4096 draws, one block at a time as a Python list: a phase
   that lacks k vertices takes the next k draws into its set at once, since
   it needs at least that many.  The coverage time is the last first
-  occurrence of a vertex, a scatter-min (``np.minimum.at``) of the draw
-  indices over the drawn blocks, extended past the construction until
-  every vertex has come up or a cap is passed.
+  occurrence of a vertex, one scatter-min (``np.minimum.at``) of the draw
+  indices per drawn block, and past the construction it draws one more
+  block at a time until every vertex has come up or a cap is passed.
 
 * ``poissonization_test`` checks the distributional identity between the
   draws-with-repetition model with a Poisson draw count and the
@@ -289,13 +289,6 @@ def coupon_collector_trial(n: int, p: FeatureProbabilities, omega: float,
     return _collector_trial(_plan_collector(n, p, omega), seed)
 
 
-def _first_seen(stream: np.ndarray, n: int) -> np.ndarray:
-    """Each vertex's first index in ``stream``, or ``len(stream)`` if it never comes up."""
-    first = np.full(n, len(stream))
-    np.minimum.at(first, stream, np.arange(len(stream)))
-    return first
-
-
 def _collector_trial(plan: _Plan, seed: Seed) -> CollectorReport:
     """``coupon_collector_trial`` on a planned model."""
     n, omega, s1, slack = plan.n, plan.omega, plan.s1, plan.law[3]
@@ -320,18 +313,19 @@ def _collector_trial(plan: _Plan, seed: Seed) -> CollectorReport:
             pos += short
     construction_draws = len(blocks) * _COUPON_BLOCK - (_COUPON_BLOCK - pos)
 
-    # keep collecting on the same stream to observe the coverage time
+    # keep collecting on the same stream to observe the coverage time; first
+    # holds each vertex's first draw index, or cap if it has not come up yet
     cap = construction_draws + 64 * n * max(1, math.ceil(math.log(max(n, 2)))) + 4096
-    stream = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    first = _first_seen(stream, n)
-    while first.max() == len(stream) and len(stream) < cap:
-        # double the stream (up to the cap) so the repeated searches cost a constant factor
-        more = min(max(1, len(blocks)), math.ceil((cap - len(stream)) / _COUPON_BLOCK))
-        blocks += [rng_draws.integers(0, n, size=_COUPON_BLOCK) for _ in range(more)]
-        stream = np.concatenate(blocks)
-        first = _first_seen(stream, n)
+    first = np.full(n, cap)
+    for b, block in enumerate(blocks):
+        np.minimum.at(first, block, np.arange(b * _COUPON_BLOCK, (b + 1) * _COUPON_BLOCK))
+    drawn = len(blocks) * _COUPON_BLOCK
+    while first.max() == cap and drawn < cap:
+        np.minimum.at(first, rng_draws.integers(0, n, size=_COUPON_BLOCK),
+                      np.arange(drawn, drawn + _COUPON_BLOCK))
+        drawn += _COUPON_BLOCK
     covered_at = int(first.max()) + 1
-    if covered_at > min(len(stream), cap):
+    if covered_at > cap:
         raise CoverageNotReached(f"coupon coverage not reached within {cap} draws at n={n}")
     delta_ge_1 = covered_at <= construction_draws
 

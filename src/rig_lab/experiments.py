@@ -8,8 +8,9 @@ judged on its vertex-feature incidence, and projected only for a graph checker.
 
 Determinism contract: a sweep is a pure function of (config, master seed).
 Trials derive per-trial sub-seeds, so results are byte-identical at any
-worker count.  Timing is written to a separate sidecar file that is
-excluded from that contract.
+worker count: the process count decides only which process runs a trial.
+Timing is written to a separate sidecar file that is excluded from that
+contract.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import numbers
@@ -25,7 +25,6 @@ import os
 import pickle
 import re
 import signal
-import tempfile
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -160,6 +159,9 @@ class ExperimentConfig:
         kind = self.profile.get("kind")
         if kind not in ("homogeneous", "explicit"):
             raise ValidationError(f"profile kind must be homogeneous or explicit, got {kind!r}")
+        unknown = set(self.profile) - ({"kind", "values"} if kind == "explicit" else {"kind"})
+        if unknown:
+            raise ValidationError(f"unknown keys in a {kind} profile: {sorted(unknown, key=str)}")
         if kind == "explicit":
             vals = self.profile.get("values")
             if not isinstance(vals, (list, tuple)) or len(vals) != self.m:
@@ -431,66 +433,44 @@ def _fork_helper(work) -> tuple[int, io.BufferedReader]:
     return pid, open(read_end, "rb")
 
 
-def _claim(fd: int) -> int:
-    """Take the next trial index from the file fd shares among forked processes.
-    It is guarded by a record lock, which the kernel drops if its holder dies,
-    so a helper killed mid-claim cannot stall the others."""
-    import fcntl
-
-    fcntl.lockf(fd, fcntl.LOCK_EX)
-    i = int.from_bytes(os.pread(fd, 8, 0), "little")  # an empty file reads as 0
-    os.pwrite(fd, (i + 1).to_bytes(8, "little"), 0)
-    fcntl.lockf(fd, fcntl.LOCK_UN)
-    return i
-
-
 def _run_trials(config: ExperimentConfig, points: list[PlannedPoint],
                 threads: int) -> tuple[list[TrialRecord | str | None], str | None]:
     """Every trial's outcome in (point, trial) order (its record, the cause it
-    failed with, or None if a helper died holding it), and why a helper died.
+    failed with, or None if the helper running it died), and why a helper died.
 
-    The caller and its min(threads, trials) - 1 helpers take trial indices
-    from one shared counter; each helper inherits config and points and sends
-    its outcomes back once.  If the caller raises, it kills and reaps every
-    helper first.
+    Trial i runs in process i mod P, P = min(threads, trials): the caller is
+    process 0, and each of its P - 1 helpers inherits config and points and
+    sends its outcomes back once.  If the caller raises, it kills and reaps
+    every helper first.
     """
     per_point = config.trials_per_point
     outcomes: list[TrialRecord | str | None] = [None] * (len(points) * per_point)
-    helpers = min(threads, len(outcomes)) - 1 if hasattr(os, "fork") else 0
-    ticket = tempfile.TemporaryFile() if helpers else None  # the shared counter's file
-    claim = functools.partial(_claim, ticket.fileno()) if helpers else itertools.count().__next__
+    procs = min(threads, len(outcomes)) if hasattr(os, "fork") else 1
 
-    def work() -> list[tuple[int, TrialRecord | str]]:
-        done = []
-        while (i := claim()) < len(outcomes):
-            done.append((i, _attempt(config, points[i // per_point], i % per_point)))
-        return done
+    def work(h: int) -> list[TrialRecord | str]:
+        return [_attempt(config, points[i // per_point], i % per_point)
+                for i in range(h, len(outcomes), procs)]
 
-    lost, pipes = None, {}  # pipes: helper pid -> the read end of its pipe, until it is reaped
+    lost, pipes = None, {}  # pipes: helper pid -> (its process number, the read end of its pipe)
     try:
-        for _ in range(helpers):
-            pid, pipe = _fork_helper(work)
-            pipes[pid] = pipe
-        reports = [work()]
-        for pid, pipe in list(pipes.items()):
+        for h in range(1, procs):
+            pid, pipe = _fork_helper(functools.partial(work, h))
+            pipes[pid] = h, pipe
+        outcomes[0::procs] = work(0)
+        for pid, (h, pipe) in list(pipes.items()):
             with pipe:
                 report = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del pipes[pid]
             if code == 0:
-                reports.append(pickle.loads(report))
+                outcomes[h::procs] = pickle.loads(report)
             elif lost is None:
                 lost = f"a helper process exited with code {code} before reporting its trials"
     finally:
-        for pid, pipe in pipes.items():
+        for pid, (_, pipe) in pipes.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        if ticket is not None:
-            ticket.close()
-    for report in reports:
-        for i, outcome in report:
-            outcomes[i] = outcome
     return outcomes, lost
 
 
@@ -498,13 +478,14 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
     """Plan every grid point, run all trials, and aggregate.
 
     Trials run in the calling process and, for threads > 1, in helpers
-    forked after planning: at most min(threads, trials) processes in all,
-    and threads may not exceed MAX_THREADS.  Where os.fork is missing every
-    trial runs in the calling process.  Output is independent of `threads`:
-    records stay in (point, trial) order.  A failing trial, or a helper
-    that dies, aborts the sweep with the completed records attached
-    (SweepAborted.partial) so callers can flush them; the cause named is
-    the first failure in (point, trial) order, or the helper's exit code.
+    forked after planning: P = min(threads, trials) processes in all, trial
+    i in process i mod P, and threads may not exceed MAX_THREADS.  Where
+    os.fork is missing every trial runs in the calling process.  Output is
+    independent of `threads`: records stay in (point, trial) order.  A
+    failing trial, or a helper that dies, aborts the sweep with the
+    completed records attached (SweepAborted.partial) so callers can flush
+    them; the cause named is the first failure in (point, trial) order, or
+    the helper's exit code.
     """
     if not 1 <= threads <= MAX_THREADS:
         raise ValidationError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
@@ -518,8 +499,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
                               summaries=[], wall_seconds=time.monotonic() - start)
         raise SweepAborted(cause, partial)
     summaries = []
+    per_point = config.trials_per_point
     for pt in points:
-        rs = [r for r in records if r.point_index == pt.index]
+        rs = records[pt.index * per_point:(pt.index + 1) * per_point]  # complete, in order
         yes = sum(1 for r in rs if r.outcome == "yes")
         no = sum(1 for r in rs if r.outcome == "no")
         unknown = sum(1 for r in rs if r.outcome == "unknown")
@@ -537,9 +519,9 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepResult:
             wilson_low=low,
             wilson_high=high,
             predicted=pt.predicted,
-            unknown_rate=unknown / len(rs) if rs else 0.0,
+            unknown_rate=unknown / len(rs),
             a_n=pt.a_n,
-            min_degree_ok_frequency=deg_ok / len(rs) if rs else 0.0,
+            min_degree_ok_frequency=deg_ok / len(rs),
         ))
     return SweepResult(
         config=config,

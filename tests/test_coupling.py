@@ -16,7 +16,6 @@ from rig_lab import (
     couple_feature,
     homogeneous_p_for_target,
     poissonization_test,
-    project_rig,
     run_coupling_trial,
     sample_g_star_poisson,
     sample_h_independent,
@@ -64,14 +63,18 @@ def test_per_feature_union_distribution_matches_direct_sampling():
     direct = Counter()
     coupled = Counter()
     seed = Seed(3)
+    # the direct side is one sample of m * trials independent features; trial t
+    # is features t*m, ..., t*m + m - 1
+    features = sample_rig(n, FeatureProbabilities.homogeneous(m * trials, 0.35),
+                          seed.child("direct")).feature_sets
     for t in range(trials):
-        inst = sample_rig(n, p, seed.child("direct", t))
-        direct[frozenset(project_rig(inst).edge_list())] += 1
+        direct[frozenset().union(*map(clique_edges, features[t * m:(t + 1) * m]))] += 1
         rng = seed.child("coupled", t).rng()
         edges = set()
         for y in split_sizes(rng.binomial(n, p.values))[0]:
-            g, members = couple_feature(y, n, rng)
-            edges |= set(clique_edges(members))
+            if y:  # a size-0 feature draws nothing
+                g, members = couple_feature(y, n, rng)
+                edges |= set(clique_edges(members))
         coupled[frozenset(edges)] += 1
     keys = sorted(set(direct) | set(coupled), key=sorted)
     chi2 = 0.0

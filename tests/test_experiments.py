@@ -155,7 +155,7 @@ def test_sweep_determinism_and_thread_independence(tmp_path):
     cfg = make_config(c_grid=(-1.0, 1.0), trials_per_point=12, n=80, m=80)
     res1 = run_sweep(cfg, threads=1)
     emit_outputs(res1, tmp_path / "a")
-    for threads in (2, 5):  # 5: more processes than cores, all claiming from one counter
+    for threads in (2, 5):  # 5: more processes than cores, trial i in process i mod 5
         res2 = run_sweep(cfg, threads=threads)
         _assert_no_children()
         assert render_results_csv(res1) == render_results_csv(res2)
@@ -377,25 +377,15 @@ def test_dead_helper_aborts_the_sweep(monkeypatch, tmp_path, capsys):
     assert 1 < len((out / "results.csv").read_text().splitlines()) < 5
 
 
-def test_helper_dying_inside_the_counter_lock_stalls_nothing(monkeypatch):
-    import fcntl
+def test_trial_i_runs_in_process_i_mod_p(monkeypatch):
     import rig_lab.experiments as exp
 
-    parent, original = os.getpid(), exp._claim
-
-    def dying(fd):
-        if os.getpid() != parent:
-            fcntl.lockf(fd, fcntl.LOCK_EX)
-            os._exit(9)
-        time.sleep(0.2)  # the helper takes the lock meanwhile
-        return original(fd)
-
-    monkeypatch.setattr(exp, "_claim", dying)
-    cfg = make_config(trials_per_point=3, n=40, m=40)
-    with pytest.raises(SweepAborted, match="exited with code 9") as err:
-        run_sweep(cfg, threads=2)
+    monkeypatch.setattr(exp, "_attempt", lambda config, point, trial: os.getpid())
+    cfg = make_config(c_grid=(-1.0, 1.0), trials_per_point=4, n=40, m=40)
+    pids, lost = exp._run_trials(cfg, [None, None], threads=3)
     _assert_no_children()
-    assert [r.trial for r in err.value.partial.records] == [0, 1, 2]
+    assert lost is None and pids[0] == os.getpid()
+    assert len(set(pids[:3])) == 3 and pids == pids[:3] * 2 + pids[:2]
 
 
 def test_interrupted_sweep_kills_its_helpers(monkeypatch):
@@ -693,6 +683,10 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     ("m", 10**29), ("n", 5_000_000_000),
     # more trials than a sweep plans at once
     ("trials_per_point", 10**6 + 1), (None, {"c_grid": [0.0, 1.0], "trials_per_point": 500_001}),
+    # profile keys that the profile's kind does not read
+    ("profile", {"kind": "homogeneous", "values": [1, 2]}),
+    ("profile", {"kind": "homogeneous", "p": 0.1}),
+    ("profile", {"kind": "explicit", "values": [0.01] * 40, "scale": 2.0}),
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
