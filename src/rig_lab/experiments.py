@@ -39,8 +39,8 @@ from .graphs import RigInstance, _check_key_range, project_rig
 from .properties import (
     DEFAULT_HC_BUDGET,
     _is_hamilton_cycle,
+    _k_connected,
     hamiltonicity,
-    is_k_connected,
     has_perfect_matching,
     min_degree,
 )
@@ -217,6 +217,7 @@ class TrialRecord:
     outcome: str  # "yes" | "no" | "unknown"
     degree_ok: bool  # min degree >= the law's level (1, 2 or k)
     hc_effort: int  # the Hamiltonicity checker's effort; 0 for the other laws
+    flow_pairs: int  # cut pairs the k-connectivity checker sent to max-flow; 0 for the other laws
     # wall seconds to sample, project (0.0 if never projected) and judge; outside the
     # determinism contract
     stage_seconds: tuple[float, float, float] = field(compare=False)
@@ -326,10 +327,11 @@ def _incidence_connected(inst: RigInstance) -> bool:
 
 
 def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
-           trial_seed: Seed) -> tuple[str, bool, int, float]:
+           trial_seed: Seed) -> tuple[str, bool, int, int, float]:
     """Decide the law's property on one sample, and whether its min degree
     reaches the law's level; also return the Hamiltonicity checker's effort
-    (0 for the other laws) and the seconds spent projecting.
+    and the cut pairs the k-connectivity checker sent to max-flow (each 0
+    for the other laws), and the seconds spent projecting.
 
     Connectivity, k-connectivity for k = 1 and min degree >= 1 are read off
     the incidence.  Every other law answers "no" when some vertex's degree
@@ -345,17 +347,18 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
         ok = (inst.n > 1 or name == "connectivity") and _incidence_connected(inst)
         if ok and not covered:
             raise AssertionError("connected graph with an isolated vertex")
-        return ("yes" if ok else "no"), covered, 0, 0.0
+        return ("yes" if ok else "no"), covered, 0, 0, 0.0
     if name == "min-degree" and level == 1:
-        return ("yes" if covered else "no"), covered, 0, 0.0
+        return ("yes" if covered else "no"), covered, 0, 0, 0.0
     if inst.n >= 3 and bounds.min() < level:  # below 3 vertices the checkers validate n
-        return "no", False, 0, 0.0
+        return "no", False, 0, 0, 0.0
     start = time.perf_counter()
     g = project_rig(inst)
     project_seconds = time.perf_counter() - start
     degree_ok = min_degree(g) >= level
+    flow_pairs = 0
     if name == "k-connectivity":
-        ok = is_k_connected(g, k)
+        ok, flow_pairs = _k_connected(g, k)
         if ok and not degree_ok:
             raise AssertionError(f"{k}-connected graph with min degree below {k}")
     elif name == "perfect-matching":
@@ -367,10 +370,10 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
         cycle = result.certificate  # a Hamilton cycle makes g 2-connected
         if result.verdict == "yes" and not (degree_ok and cycle and _is_hamilton_cycle(g, cycle)):
             raise AssertionError("Hamiltonian graph that is not 2-connected, or no Hamilton cycle")
-        return result.verdict, degree_ok, result.effort, project_seconds
+        return result.verdict, degree_ok, result.effort, 0, project_seconds
     else:  # min-degree at a level above 1
         ok = degree_ok
-    return ("yes" if ok else "no"), degree_ok, 0, project_seconds
+    return ("yes" if ok else "no"), degree_ok, 0, flow_pairs, project_seconds
 
 
 def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> TrialRecord:
@@ -380,8 +383,8 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
     t0 = time.perf_counter()
     instance = sample_rig(point.n_vertices, point.probabilities, trial_seed.child("sample"))
     t1 = time.perf_counter()
-    outcome, degree_ok, hc_effort, project_seconds = _judge(spec, k, instance, config.hc_budget,
-                                                            trial_seed)
+    outcome, degree_ok, hc_effort, flow_pairs, project_seconds = _judge(
+        spec, k, instance, config.hc_budget, trial_seed)
     t2 = time.perf_counter()
     return TrialRecord(
         point_index=point.index,
@@ -390,6 +393,7 @@ def run_trial(config: ExperimentConfig, point: PlannedPoint, trial: int) -> Tria
         outcome=outcome,
         degree_ok=degree_ok,
         hc_effort=hc_effort,
+        flow_pairs=flow_pairs,
         stage_seconds=(t1 - t0, project_seconds, t2 - t1 - project_seconds),
     )
 
@@ -600,12 +604,14 @@ def render_limit_table(result: SweepResult) -> str:
 
 
 def render_timings_csv(result: SweepResult) -> str:
-    """The sweep's wall time, then each trial stage's time summed over all
-    trials, then the Hamiltonicity checker's effort summed over all trials."""
+    """The sweep's wall time, then each trial stage's time, the Hamiltonicity
+    checker's effort and the cut pairs sent to max-flow, each summed over
+    all trials."""
     totals = [math.fsum(r.stage_seconds[i] for r in result.records) for i in range(3)]
     effort = sum(r.hc_effort for r in result.records)
-    return ("wall_seconds,sample_seconds,project_seconds,judge_seconds,hc_effort\n"
-            + ",".join(map(repr, [result.wall_seconds, *totals, effort])) + "\n")
+    flow_pairs = sum(r.flow_pairs for r in result.records)
+    return ("wall_seconds,sample_seconds,project_seconds,judge_seconds,hc_effort,flow_pairs\n"
+            + ",".join(map(repr, [result.wall_seconds, *totals, effort, flow_pairs])) + "\n")
 
 
 def emit_outputs(result: SweepResult, out_dir) -> list[str]:

@@ -3,10 +3,11 @@
 * minimum degree, from the CSR row lengths of the graph
 * k-connectivity, as the yes/no question kappa >= k: one breadth-first
   search from vertex 0 (``scipy.sparse.csgraph``) for k = 1, low points over
-  scipy's depth-first tree for k = 2, and for k >= 3 a scan-first sparse
-  certificate of at most k(n-1) edges, whose Esfahanian-Hakimi pairs share
-  one Dinic max-flow (scipy) per block-diagonal network of vertex-split
-  copies
+  scipy's depth-first tree for k = 2, and for k >= 3 the Esfahanian-Hakimi
+  cut pairs of g, each certified by k disjoint paths of length at most 3 or
+  sent to max-flow: Dinic (scipy), one call per block-diagonal network of
+  vertex-split copies of the scan-first certificate of at most k(n-1)
+  edges, and of g itself wherever a certificate flow falls short
 * perfect matching: a cycle cover from Hopcroft-Karp on the bipartite
   double cover (scipy), then Edmonds' blossom search over CSR rows from the
   exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
@@ -53,6 +54,7 @@ def is_connected(g: SimpleGraph) -> bool:
 
 
 _FLOW_ARC_CAP = 1 << 14  # arcs past which the pair copies go to a new flow network
+_PATH_ENTRY_CAP = 1 << 18  # row entries past which the short-path search takes the pairs in parts
 
 
 def _cut_pairs(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -101,48 +103,132 @@ def _scan_first_certificate(g: SimpleGraph, k: int) -> SimpleGraph:
     return SimpleGraph(g.n, cert)
 
 
-def is_k_connected(g: SimpleGraph, k: int) -> bool:
-    """Decide whether g is k-vertex-connected (kappa(g) >= k, so n > k).
+def _rows(g: SimpleGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of `vertices`, one after another: for each entry, the
+    index into `vertices` of its row, and the neighbor."""
+    lens = g.indptr[vertices + 1] - g.indptr[vertices]
+    at = np.repeat(np.arange(len(vertices)), lens)
+    return at, g.indices[np.arange(len(at)) + (g.indptr[vertices] - lens.cumsum() + lens)[at]]
 
-    k = 1 and k = 2 are `is_connected` and `is_biconnected`.  For k >= 3 with
-    min degree >= k, each pair (s, t) of the scan-first certificate's cut-pair
-    family gets a copy of the certificate's vertex-split network, with an arc
-    of capacity k from a super-source to 2s+1 and from 2t to a super-sink.
-    The copies share one max-flow call per block-diagonal network of about
-    `_FLOW_ARC_CAP` arcs, and g is k-connected iff each flow is k per copy.
+
+def _short_paths(g: SimpleGraph, k: int, sources: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+    """Per non-adjacent pair (s, t), whether k internally disjoint s-t paths
+    of length at most 3 show kappa(s, t) >= k in g.  Sound, not complete.
+
+    s is the endpoint of lower degree.  Each common neighbor c gives a path
+    s-c-t.  If there are fewer than k, each other neighbor a of s, matched
+    greedily in row order to the lowest x in N(a) & N(t) - N[s] that no
+    earlier a took, gives a path s-a-x-t.  The paths share no inner vertex:
+    c and x lie in N(t), a and c in N(s), and x outside N(s).  Step r of the
+    matching reads the r-th such a of every pair still open, so it runs at
+    most max deg(s) times.  Membership in N(s) and N(t) is one bisection of
+    the pairs' rows, concatenated as sorted keys pair * n + neighbor, and the
+    pairs go in parts of `_PATH_ENTRY_CAP` // max degree, so no temporary is
+    n x n or longer than about `_PATH_ENTRY_CAP` entries.
     """
-    if k < 1:
-        raise ValidationError(f"k must be positive, got {k}")
-    if g.n <= k:
-        return False
-    if k == 1:
-        return is_connected(g)
-    if k == 2:
-        return is_biconnected(g)
-    if min_degree(g) < k:
-        return False
-    cert = _scan_first_certificate(g, k)
-    sources, sinks = _cut_pairs(cert)
-    # vertex split: v becomes 2v -> 2v+1 (its unit budget), edge {u, v} 2u+1 -> 2v and 2v+1 -> 2u
-    arc_tails, arc_heads = cert.arcs()
-    budget = 2 * np.arange(g.n)
-    tails = np.concatenate((budget, 2 * arc_tails + 1))
-    heads = np.concatenate((budget + 1, 2 * arc_heads))
+    n, deg = g.n, g.degrees()
+    certified = np.zeros(len(sources), dtype=bool)
+    per = max(1, _PATH_ENTRY_CAP // int(deg.max(initial=1)))
+    for first in range(0, len(sources), per):
+        s, t = sources[first:first + per], sinks[first:first + per]
+        low = deg[s] <= deg[t]
+        s, t = np.where(low, s, t), np.where(low, t, s)
+        pair, a = _rows(g, s)
+        s_keys = pair * n + a
+        t_pair, b = _rows(g, t)
+        t_keys = t_pair * n + b
+        common = _in_sorted(t_keys, s_keys)
+        found = np.bincount(pair[common], minlength=len(s))  # common neighbors, then matched a
+        rest = ~common & (found[pair] < k)
+        pair, a = pair[rest], a[rest]
+        rank = np.arange(len(pair)) - np.searchsorted(pair, pair)  # a's place in its pair's list
+        count = np.bincount(pair, minlength=len(s))
+        used = np.empty(0, dtype=np.int64)  # keys pair * n + x of the matched x
+        for r in range(int(rank.max(initial=-1)) + 1):
+            at = rank == r
+            step = pair[at]
+            live = (found[step] < k) & (found[step] + count[step] - r >= k)
+            if not live.any():
+                break  # a pair closed at step r stays closed
+            owner, x = _rows(g, a[at][live])
+            keys = step[live][owner] * n + x
+            keys = keys[_in_sorted(t_keys, keys)]
+            keys = keys[~_in_sorted(s_keys, keys) & ~_in_sorted(used, keys)]
+            owner = keys // n
+            lowest = np.ones(len(keys), dtype=bool)
+            lowest[1:] = owner[1:] != owner[:-1]
+            found[owner[lowest]] += 1
+            used = np.union1d(used, keys[lowest])
+        certified[first:first + per] = found >= k
+    return certified
+
+
+def _flows_reach(h: SimpleGraph, k: int, sources: np.ndarray, sinks: np.ndarray) -> bool:
+    """Whether every pair (s, t) has k internally disjoint s-t paths in h.
+
+    Each pair gets a copy of h's vertex-split network, with an arc of
+    capacity k from a super-source to 2s+1 and from 2t to a super-sink.  The
+    copies share one max-flow call per block-diagonal network of about
+    `_FLOW_ARC_CAP` arcs, and each flow must be k per copy.
+    """
+    # vertex split: v becomes 2v -> 2v+1 (its unit budget), edge {u, v} 2u+1 -> 2v and 2v+1 -> 2u;
+    # int32 throughout, the index type scipy's max-flow runs on, so that it converts nothing
+    arc_tails, arc_heads = h.arcs()
+    budget = 2 * np.arange(h.n, dtype=np.int32)
+    tails = np.concatenate((budget, 2 * arc_tails.astype(np.int32) + 1))
+    heads = np.concatenate((budget + 1, 2 * arc_heads.astype(np.int32)))
     per_net = max(1, _FLOW_ARC_CAP // (len(tails) + 2))
     for first in range(0, len(sources), per_net):
-        s, t = sources[first:first + per_net], sinks[first:first + per_net]
-        offset = 2 * g.n * np.arange(len(s))
-        source, sink = 2 * g.n * len(s), 2 * g.n * len(s) + 1
+        s = sources[first:first + per_net].astype(np.int32)
+        t = sinks[first:first + per_net].astype(np.int32)
+        offset = 2 * h.n * np.arange(len(s), dtype=np.int32)
+        source, sink = 2 * h.n * len(s), 2 * h.n * len(s) + 1
         net_tails = np.concatenate(((tails + offset[:, None]).ravel(),
-                                    np.full(len(s), source), offset + 2 * t))
+                                    np.full(len(s), source, dtype=np.int32), offset + 2 * t))
         net_heads = np.concatenate(((heads + offset[:, None]).ravel(),
-                                    offset + 2 * s + 1, np.full(len(s), sink)))
+                                    offset + 2 * s + 1, np.full(len(s), sink, dtype=np.int32)))
         caps = np.ones(len(net_tails), dtype=np.int32)
         caps[-2 * len(s):] = k
         net = csr_array((caps, (net_tails, net_heads)), shape=(sink + 1, sink + 1))
         if maximum_flow(net, source, sink).flow_value < k * len(s):
             return False
     return True
+
+
+def _k_connected(g: SimpleGraph, k: int) -> tuple[bool, int]:
+    """`is_k_connected`, and the number of cut pairs it sent to max-flow."""
+    if k < 1:
+        raise ValidationError(f"k must be positive, got {k}")
+    if g.n <= k:
+        return False, 0
+    if k == 1:
+        return is_connected(g), 0
+    if k == 2:
+        return is_biconnected(g), 0
+    if min_degree(g) < k:
+        return False, 0
+    sources, sinks = _cut_pairs(g)
+    left = ~_short_paths(g, k, sources, sinks)
+    sources, sinks = sources[left], sinks[left]
+    if not len(sources):
+        return True, 0
+    # a full flow on the certificate, a subgraph of g, proves kappa_g(s, t) >= k;
+    # a short one proves nothing about g, so g decides again
+    return (_flows_reach(_scan_first_certificate(g, k), k, sources, sinks)
+            or _flows_reach(g, k, sources, sinks)), len(sources)
+
+
+def is_k_connected(g: SimpleGraph, k: int) -> bool:
+    """Decide whether g is k-vertex-connected (kappa(g) >= k, so n > k).
+
+    k = 1 and k = 2 are `is_connected` and `is_biconnected`.  For k >= 3 with
+    min degree >= k, g is k-connected iff every Esfahanian-Hakimi cut pair
+    (s, t) of g has kappa(s, t) >= k (Menger).  Most pairs are settled by k
+    disjoint paths of length at most 3 (`_short_paths`).  The pairs left go
+    to max-flow on the scan-first certificate, and, if some flow there falls
+    short of k, to max-flow on g itself.
+    """
+    return _k_connected(g, k)[0]
 
 
 # --- perfect matching ---------------------------------------------------------

@@ -163,23 +163,26 @@ def test_sweep_determinism_and_thread_independence(tmp_path):
         emit_outputs(res2, tmp_path / "b")
         for name in ("results.csv", "summary.json", "limit_table.dat"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-    # timings.csv: wall time, per-stage totals over all trials, Hamiltonicity effort
+    # timings.csv: wall time, per-stage totals over all trials, Hamiltonicity
+    # effort, cut pairs sent to max-flow
     for side in ("a", "b"):
         header, row = (tmp_path / side / "timings.csv").read_text().splitlines()
-        assert header == "wall_seconds,sample_seconds,project_seconds,judge_seconds,hc_effort"
-        *seconds, effort = row.split(",")
+        assert header == ("wall_seconds,sample_seconds,project_seconds,judge_seconds,hc_effort,"
+                          "flow_pairs")
+        *seconds, effort, flow_pairs = row.split(",")
         wall, sample, project, judge = map(float, seconds)
         # connectivity is decided on the incidence, so no trial projects
-        assert sample > 0 and judge > 0 and project == 0.0 and effort == "0"
+        assert sample > 0 and judge > 0 and project == 0.0 and effort == flow_pairs == "0"
         if side == "a":  # one process: the stages run inside the sweep's wall time
             assert sample + project + judge <= wall
     # perfect matching projects every trial that the degree bound does not rule out
     pm = run_sweep(make_config(theorem="perfect-matching", n=40, m=80, c_grid=(1.0,),
                                trials_per_point=6))
     emit_outputs(pm, tmp_path / "pm")
-    *seconds, effort = (tmp_path / "pm" / "timings.csv").read_text().splitlines()[1].split(",")
+    row = (tmp_path / "pm" / "timings.csv").read_text().splitlines()[1]
+    *seconds, effort, flow_pairs = row.split(",")
     wall, *stages = map(float, seconds)
-    assert all(t > 0 for t in stages) and sum(stages) <= wall and effort == "0"
+    assert all(t > 0 for t in stages) and sum(stages) <= wall and effort == flow_pairs == "0"
     # the effort column sums the Hamiltonicity checker's effort over all trials
     hc = make_config(theorem="hamiltonicity", n=40, m=40, c_grid=(-1.0, 2.0),
                      trials_per_point=6)
@@ -191,8 +194,9 @@ def test_sweep_determinism_and_thread_independence(tmp_path):
             trial_seed = Seed(hc.master_seed).child(hc.experiment_id, i, t)
             g = project_rig(sample_rig(pt.n_vertices, pt.probabilities, trial_seed.child("sample")))
             expected += hamiltonicity(g, hc.hc_budget, trial_seed.child("hc")).effort
-    effort = (tmp_path / "hc" / "timings.csv").read_text().splitlines()[1].split(",")[-1]
-    assert expected > 0 and int(effort) == expected
+    row = (tmp_path / "hc" / "timings.csv").read_text().splitlines()[1]
+    effort, flow_pairs = row.split(",")[-2:]
+    assert expected > 0 and int(effort) == expected and flow_pairs == "0"
 
 
 def test_sweep_consistency_assertions_hold():
@@ -434,7 +438,7 @@ def _assert_judge_matches_oracle(tags, inst, trial_seed):
             with pytest.raises(ValidationError):
                 _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
             continue
-        verdict, degree_ok, _, _ = _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
+        verdict, degree_ok, *_ = _judge(spec, k, inst, DEFAULT_HC_BUDGET, trial_seed)
         assert (verdict, degree_ok) == (expected, deg >= level), (tag, inst.feature_sets)
 
 
@@ -487,7 +491,7 @@ def test_judge_consistency_assertions_still_raise(monkeypatch, petersen):
         exp._judge(spec, k, RigInstance(3, 1, [{1, 2}]), 0, Seed(1))
     # vertex 0 has degree bound 2 from two copies of one edge, but degree 1
     spec, k = parse_law_tag("k-connectivity(2)")
-    monkeypatch.setattr(exp, "is_k_connected", lambda g, k: True)
+    monkeypatch.setattr(exp, "_k_connected", lambda g, k: (True, 0))
     with pytest.raises(AssertionError, match="min degree below 2"):
         exp._judge(spec, k, RigInstance(3, 4, [{0, 1}, {0, 1}, {1, 2}, {1, 2}]), 0, Seed(1))
     # two triangles sharing vertex 2: min degree 2, and 2 is a cut vertex

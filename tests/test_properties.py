@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  maximum_bipartite_matching)
 
 from rig_lab import (
     Seed,
@@ -17,13 +18,15 @@ from rig_lab import (
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
+import rig_lab.properties as properties
 from rig_lab.properties import (_FLOW_ARC_CAP, _augment_from, _biconnected_sides,
-                                _bipartite_parts, _cut_pairs, _is_hamilton_cycle,
+                                _bipartite_parts, _cut_pairs, _is_hamilton_cycle, _k_connected,
                                 _perfect_matching, _posa_search, _scan_first_certificate,
-                                is_biconnected)
+                                _short_paths, is_biconnected)
 from rig_lab.sampling import _as_rng, sample_rig
 from conftest import random_graph
 from oracles import (
+    _local_vertex_connectivity,
     oracle_cut_pairs,
     oracle_flow_k_connected,
     oracle_bipartite_parts,
@@ -207,14 +210,18 @@ def test_cut_pairs_match_set_oracle():
 
 
 def test_cut_pairs_span_several_flow_networks():
-    """At n = 200 the k = 3 pair family fills several capped flow networks, and
-    the pairs that the hung clique's 2-vertex cut separates all lie in the last."""
+    """At n = 200 the k = 3 pairs that no short paths certify fill several
+    capped flow networks, and the pairs that the hung clique's 2-vertex cut
+    separates all lie in the last."""
     for g in (harary(3, 200), hung_clique(3, 200)):
         assert min_degree(g) == 3
+        sources, sinks = _cut_pairs(g)
+        left = ~_short_paths(g, 3, sources, sinks)
+        sources, sinks = sources[left], sinks[left]
         cert = _scan_first_certificate(g, 3)
-        sources, sinks = _cut_pairs(cert)
         per_net = _FLOW_ARC_CAP // (g.n + len(cert.indices) + 2)  # arcs per copy
         assert len(sources) > 5 * per_net
+        assert _k_connected(g, 3)[1] == len(sources)
     last = (len(sources) - 1) // per_net * per_net
     split = np.flatnonzero(np.maximum(sources, sinks) >= 200)  # pairs into the clique
     assert len(split) and split.min() >= last
@@ -243,6 +250,95 @@ def test_k_connected_matches_flow_oracle(k):
     for name, g, kk, expected in adversarial_graphs(k):
         assert oracle_flow_k_connected(g.n, set(g.edge_list()), kk) == expected, name
         assert is_k_connected(g, kk) == expected, name
+
+
+def cube():
+    """The 3-cube: antipodal vertices share no neighbor, and are joined by
+    three disjoint paths of length 3."""
+    return SimpleGraph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_short_paths_certify_only_pairs_with_k_disjoint_paths(data):
+    n = data.draw(st.integers(4, 14))
+    k = data.draw(st.sampled_from((3, 4)))
+    p = data.draw(st.one_of(st.floats(0.15, 0.45), st.floats(0.55, 0.95)))  # sparse or dense
+    g = random_graph(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n, p)
+    apart = [(s, t) for s in range(n) for t in range(s + 1, n) if not adjacent(g, s, t)]
+    sources, sinks = np.array(apart, dtype=np.int64).reshape(-1, 2).T
+    adj = [set(row) for row in g.neighbor_lists()]
+    for s, t in zip(*(side[_short_paths(g, k, sources, sinks)].tolist()
+                      for side in (sources, sinks))):
+        assert _local_vertex_connectivity(adj, n, s, t, k) >= k, (n, k, s, t, g.edge_list())
+
+
+def test_short_paths_match_through_second_neighbors():
+    # no common neighbor: only the matched paths 0-1-3-7, 0-2-6-7 and 0-4-5-7 certify
+    pair = np.array([0]), np.array([7])
+    assert _short_paths(cube(), 3, *pair).tolist() == [True]
+    assert _short_paths(cube(), 4, *pair).tolist() == [False]
+    assert _short_paths(harary(3, 40), 3, np.array([0]), np.array([10])).tolist() == [False]
+
+
+def glued(rng, size, shared, p):
+    """Two random graphs on `size` vertices each, with edge probability p,
+    sharing the vertices size - shared .. size - 1."""
+    second = np.arange(size - shared, 2 * size - shared)
+    edges = random_graph(rng, size, p).edge_list()
+    edges += [(int(second[u]), int(second[v])) for u, v in random_graph(rng, size, p).edge_list()]
+    return SimpleGraph(2 * size - shared, edges)
+
+
+def kconn_graphs(k):
+    """(graph, k it is tested at) around the k boundary: random graphs, dense
+    and sparse, random graphs glued at k - 1 and at k vertices, Harary graphs
+    (where short paths fail and the flows decide), shared cliques, a wheel
+    and K_{k, n}."""
+    rng = np.random.default_rng(97 + k)
+    cases = [(random_graph(rng, int(rng.integers(k + 2, 16)), float(rng.uniform(0.4, 0.95))), k)
+             for _ in range(40)]
+    cases += [(glued(rng, int(rng.integers(k + 3, 11)), shared, float(rng.uniform(0.7, 1.0))), k)
+              for shared in (k - 1, k) for _ in range(10)]
+    cases += [(harary(k, n), kk) for n in (k + 2, 2 * k + 3, 17) for kk in (k, k + 1)]
+    cases += [(shared_cliques(size, shared), k) for size in (k + 2, k + 4) for shared in (k - 1, k)]
+    wheel = SimpleGraph(9, [(8, v) for v in range(8)] + cycle(8).edge_list())
+    cases += [(wheel, k), (SimpleGraph(k + 7, [(a, b) for a in range(k) for b in range(k, k + 7)]), k)]
+    return cases
+
+
+@pytest.mark.parametrize("k", (3, 4, 5))
+def test_k_connected_matches_flow_oracle_beyond_short_paths(k):
+    verdicts = set()
+    for g, kk in kconn_graphs(k):
+        expected = oracle_flow_k_connected(g.n, set(g.edge_list()), kk)
+        assert is_k_connected(g, kk) == expected, (kk, g.edge_list())
+        verdicts.add((expected, min_degree(g) >= kk))
+    assert verdicts >= {(True, True), (False, True), (False, False)}  # flows say no, too
+
+
+def spanning_tree(g, k):
+    """A breadth-first spanning tree of connected g, in place of its certificate."""
+    order, parent = breadth_first_order(g.matrix(), 0, directed=True, return_predecessors=True)
+    assert len(order) == g.n
+    return SimpleGraph(g.n, [(int(parent[v]), int(v)) for v in order[1:]])
+
+
+@pytest.mark.parametrize("k", (3, 4))
+def test_certificate_flow_never_decides_alone(monkeypatch, k):
+    """With a spanning tree for the certificate every certificate flow falls
+    short, so every verdict with pairs left over must come from g."""
+    monkeypatch.setattr(properties, "_scan_first_certificate", spanning_tree)
+    flowed = set()
+    for g, kk in kconn_graphs(k):
+        if not is_connected(g):
+            continue
+        expected = oracle_flow_k_connected(g.n, set(g.edge_list()), kk)
+        ok, flow_pairs = _k_connected(g, kk)
+        assert ok == expected, (kk, g.edge_list())
+        if flow_pairs:
+            flowed.add(ok)
+    assert flowed == {True, False}
 
 
 @pytest.mark.parametrize("k", (2, 3, 4))

@@ -24,7 +24,7 @@ from rig_lab import (
     sample_h_independent,
     sample_rig,
 )
-from rig_lab.experiments import render_results_csv, render_summary_json
+from rig_lab.experiments import render_results_csv, render_summary_json, render_timings_csv
 from rig_lab.graphs import rank_subsets
 from rig_lab.sampling import MAX_DRAWS, _floyd_rows, draw_subsets, unrank_subsets
 from oracles import (_oracle_floyd, oracle_project_rig, oracle_sample_rig, subset_rank,
@@ -167,11 +167,15 @@ _LAW_PINS = [  # (law, n, m, c_grid, trials, sha256 of results.csv, sha256 of su
     ("min-degree-refined(2)", 100, 40, (-1.0, 1.0), 10,
      "ec989aeddef709cdf15019b0562c99e107692c31d46e5c6433a788f97be52286",
      "59d4c9b685aeedf51d4ab8640c2a0f3f0b7941988d97c2ae7f87870648aeac69"),
+    # m >> n: short disjoint paths certify few cut pairs, so max-flow decides the rest
+    ("k-connectivity(3)", 60, 600, (-1.0, 1.0), 8,
+     "1cc86ba7421a9efe115623f834a4af5cbb2cc6744522d20324a2de4aa2d20b13",
+     "f4a04bf639e4c6af311abf76b5bb4b5136ef04b970b4ee0bc46ec418ed05f014"),
 ]
 
 
 @pytest.mark.parametrize("law, n, m, c_grid, trials, results_digest, summary_digest", _LAW_PINS,
-                         ids=[pin[0] for pin in _LAW_PINS])
+                         ids=[law if m <= 2 * n else f"{law}-m{m}" for law, n, m, *_ in _LAW_PINS])
 def test_law_sweep_outputs_are_pinned(law, n, m, c_grid, trials, results_digest, summary_digest):
     # one small sweep per law: its verdicts and min-degree shares may not change
     # with the way a trial is judged, only with a versioned stream change
@@ -180,6 +184,8 @@ def test_law_sweep_outputs_are_pinned(law, n, m, c_grid, trials, results_digest,
     result = run_sweep(config)
     assert hashlib.sha256(render_results_csv(result).encode()).hexdigest() == results_digest
     assert hashlib.sha256(render_summary_json(result).encode()).hexdigest() == summary_digest
+    if m > 2 * n:  # the pin covers the max-flow path: timings.csv's last column counts its pairs
+        assert int(render_timings_csv(result).splitlines()[1].split(",")[-1]) > 0
 
 
 _OUTPUT_PINS = [
