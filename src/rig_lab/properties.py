@@ -6,8 +6,7 @@
   scipy's depth-first tree for k = 2, and for k >= 3 the Esfahanian-Hakimi
   cut pairs of g, each certified by k disjoint paths of length at most 3 or
   sent to max-flow: Dinic (scipy), one call per block-diagonal network of
-  vertex-split copies of the scan-first certificate of at most k(n-1)
-  edges, and of g itself wherever a certificate flow falls short
+  vertex-split copies of the scan-first certificate of at most k(n-1) edges
 * perfect matching: a cycle cover from Hopcroft-Karp on the bipartite
   double cover (scipy), then Edmonds' blossom search over CSR rows from the
   exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
@@ -163,38 +162,6 @@ def _short_paths(g: SimpleGraph, k: int, sources: np.ndarray, sinks: np.ndarray)
     return certified
 
 
-def _flows_reach(h: SimpleGraph, k: int, sources: np.ndarray, sinks: np.ndarray) -> bool:
-    """Whether every pair (s, t) has k internally disjoint s-t paths in h.
-
-    Each pair gets a copy of h's vertex-split network, with an arc of
-    capacity k from a super-source to 2s+1 and from 2t to a super-sink.  The
-    copies share one max-flow call per block-diagonal network of about
-    `_FLOW_ARC_CAP` arcs, and each flow must be k per copy.
-    """
-    # vertex split: v becomes 2v -> 2v+1 (its unit budget), edge {u, v} 2u+1 -> 2v and 2v+1 -> 2u;
-    # int32 throughout, the index type scipy's max-flow runs on, so that it converts nothing
-    arc_tails, arc_heads = h.arcs()
-    budget = 2 * np.arange(h.n, dtype=np.int32)
-    tails = np.concatenate((budget, 2 * arc_tails.astype(np.int32) + 1))
-    heads = np.concatenate((budget + 1, 2 * arc_heads.astype(np.int32)))
-    per_net = max(1, _FLOW_ARC_CAP // (len(tails) + 2))
-    for first in range(0, len(sources), per_net):
-        s = sources[first:first + per_net].astype(np.int32)
-        t = sinks[first:first + per_net].astype(np.int32)
-        offset = 2 * h.n * np.arange(len(s), dtype=np.int32)
-        source, sink = 2 * h.n * len(s), 2 * h.n * len(s) + 1
-        net_tails = np.concatenate(((tails + offset[:, None]).ravel(),
-                                    np.full(len(s), source, dtype=np.int32), offset + 2 * t))
-        net_heads = np.concatenate(((heads + offset[:, None]).ravel(),
-                                    offset + 2 * s + 1, np.full(len(s), sink, dtype=np.int32)))
-        caps = np.ones(len(net_tails), dtype=np.int32)
-        caps[-2 * len(s):] = k
-        net = csr_array((caps, (net_tails, net_heads)), shape=(sink + 1, sink + 1))
-        if maximum_flow(net, source, sink).flow_value < k * len(s):
-            return False
-    return True
-
-
 def _k_connected(g: SimpleGraph, k: int) -> tuple[bool, int]:
     """`is_k_connected`, and the number of cut pairs it sent to max-flow."""
     if k < 1:
@@ -212,10 +179,29 @@ def _k_connected(g: SimpleGraph, k: int) -> tuple[bool, int]:
     sources, sinks = sources[left], sinks[left]
     if not len(sources):
         return True, 0
-    # a full flow on the certificate, a subgraph of g, proves kappa_g(s, t) >= k;
-    # a short one proves nothing about g, so g decides again
-    return (_flows_reach(_scan_first_certificate(g, k), k, sources, sinks)
-            or _flows_reach(g, k, sources, sinks)), len(sources)
+    cert = _scan_first_certificate(g, k)
+    # vertex split: v becomes 2v -> 2v+1 (its unit budget), edge {u, v} 2u+1 -> 2v and 2v+1 -> 2u;
+    # int32 throughout, the index type scipy's max-flow runs on, so that it converts nothing
+    arc_tails, arc_heads = cert.arcs()
+    budget = 2 * np.arange(g.n, dtype=np.int32)
+    tails = np.concatenate((budget, 2 * arc_tails.astype(np.int32) + 1))
+    heads = np.concatenate((budget + 1, 2 * arc_heads.astype(np.int32)))
+    per_net = max(1, _FLOW_ARC_CAP // (len(tails) + 2))
+    for first in range(0, len(sources), per_net):
+        s = sources[first:first + per_net].astype(np.int32)
+        t = sinks[first:first + per_net].astype(np.int32)
+        offset = 2 * g.n * np.arange(len(s), dtype=np.int32)
+        source, sink = 2 * g.n * len(s), 2 * g.n * len(s) + 1
+        net_tails = np.concatenate(((tails + offset[:, None]).ravel(),
+                                    np.full(len(s), source, dtype=np.int32), offset + 2 * t))
+        net_heads = np.concatenate(((heads + offset[:, None]).ravel(),
+                                    offset + 2 * s + 1, np.full(len(s), sink, dtype=np.int32)))
+        caps = np.ones(len(net_tails), dtype=np.int32)
+        caps[-2 * len(s):] = k
+        net = csr_array((caps, (net_tails, net_heads)), shape=(sink + 1, sink + 1))
+        if maximum_flow(net, source, sink).flow_value < k * len(s):
+            return False, len(sources)
+    return True, len(sources)
 
 
 def is_k_connected(g: SimpleGraph, k: int) -> bool:
@@ -223,10 +209,15 @@ def is_k_connected(g: SimpleGraph, k: int) -> bool:
 
     k = 1 and k = 2 are `is_connected` and `is_biconnected`.  For k >= 3 with
     min degree >= k, g is k-connected iff every Esfahanian-Hakimi cut pair
-    (s, t) of g has kappa(s, t) >= k (Menger).  Most pairs are settled by k
-    disjoint paths of length at most 3 (`_short_paths`).  The pairs left go
-    to max-flow on the scan-first certificate, and, if some flow there falls
-    short of k, to max-flow on g itself.
+    (s, t) of g, a non-adjacent pair, has kappa(s, t) >= k (Menger).  Most
+    pairs are settled by k disjoint paths of length at most 3
+    (`_short_paths`).  Each pair left gets a copy of the vertex-split network
+    of the scan-first certificate, which is k-connected iff g is, with an arc
+    of capacity k from a super-source to 2s+1 and from 2t to a super-sink.
+    The copies share one max-flow call per block-diagonal network of about
+    `_FLOW_ARC_CAP` arcs, and g is k-connected iff each flow is k per copy:
+    the pairs are non-adjacent in the certificate too, so a flow short of k
+    shows that the certificate, and so g, is not k-connected.
     """
     return _k_connected(g, k)[0]
 

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.csgraph import (breadth_first_order, connected_components,
-                                  maximum_bipartite_matching)
+from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
 from rig_lab import (
     Seed,
@@ -18,7 +17,6 @@ from rig_lab import (
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
-import rig_lab.properties as properties
 from rig_lab.properties import (_FLOW_ARC_CAP, _augment_from, _biconnected_sides,
                                 _bipartite_parts, _cut_pairs, _is_hamilton_cycle, _k_connected,
                                 _perfect_matching, _posa_search, _scan_first_certificate,
@@ -184,6 +182,10 @@ def adversarial_graphs(k):
         cases.append((f"H_(k,{n})", harary(k, n), k, True))
         cases.append((f"H_(k,{n}) at k+1", harary(k, n), k + 1, False))
     cases.append(("K_{k+2} hung on H_(k,200) by k-1 vertices", hung_clique(k, 200), k, False))
+    wheel = SimpleGraph(9, [(8, v) for v in range(8)] + cycle(8).edge_list())
+    cases.append(("wheel on 8 spokes", wheel, k, k <= 3))
+    cases.append(("K_{k,k+7}", SimpleGraph(2 * k + 7, [(a, b) for a in range(k)
+                                                        for b in range(k, 2 * k + 7)]), k, True))
     return cases
 
 
@@ -227,12 +229,20 @@ def test_cut_pairs_span_several_flow_networks():
     assert len(split) and split.min() >= last
 
 
-def rig_graphs(k):
-    """Projected random intersection graphs near the k-connectivity threshold.
+def glued(rng, size, shared, p):
+    """Two random graphs on `size` vertices each, with edge probability p,
+    sharing the vertices size - shared .. size - 1."""
+    second = np.arange(size - shared, 2 * size - shared)
+    edges = random_graph(rng, size, p).edge_list()
+    edges += [(int(second[u]), int(second[v])) for u, v in random_graph(rng, size, p).edge_list()]
+    return SimpleGraph(2 * size - shared, edges)
 
-    At these sizes a "no" comes from the min-degree obstruction; flow cuts
-    below k come from the adversarial graphs.
-    """
+
+def sampled_graphs(k):
+    """Random graphs to test at k against the oracle: projected random
+    intersection graphs near the k-connectivity threshold, where a "no"
+    comes from the min-degree obstruction, and dense random graphs, alone
+    and glued at k - 1 and at k vertices, where flow cuts below k occur."""
     for c in (-1.0, 1.0):
         for n in (40, 60, 80):
             config = ExperimentConfig(theorem=f"k-connectivity({k})", n=n, m=n, c_grid=(c,),
@@ -241,15 +251,28 @@ def rig_graphs(k):
             for trial in range(2):
                 seed = Seed(41).child("kconn", k, f"{c:+}", n, trial)
                 yield project_rig(sample_rig(n, point.probabilities, seed))
+    rng = np.random.default_rng(97 + k)
+    for _ in range(40):
+        yield random_graph(rng, int(rng.integers(k + 2, 16)), float(rng.uniform(0.4, 0.95)))
+    for shared in (k - 1, k):
+        for _ in range(10):
+            yield glued(rng, int(rng.integers(k + 3, 11)), shared, float(rng.uniform(0.7, 1.0)))
 
 
-@pytest.mark.parametrize("k", (2, 3, 4))
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
 def test_k_connected_matches_flow_oracle(k):
-    for g in rig_graphs(k):
-        assert is_k_connected(g, k) == oracle_flow_k_connected(g.n, set(g.edge_list()), k), (g.n, k)
+    flow_no = 0  # "no" verdicts that a max-flow gave
+    for g in sampled_graphs(k):
+        expected = oracle_flow_k_connected(g.n, set(g.edge_list()), k)
+        ok, flow_pairs = _k_connected(g, k)
+        assert ok == expected, (k, g.edge_list())
+        flow_no += not ok and flow_pairs > 0
     for name, g, kk, expected in adversarial_graphs(k):
         assert oracle_flow_k_connected(g.n, set(g.edge_list()), kk) == expected, name
-        assert is_k_connected(g, kk) == expected, name
+        ok, flow_pairs = _k_connected(g, kk)
+        assert ok == expected, name
+        flow_no += not ok and flow_pairs > 0
+    assert flow_no or k == 2
 
 
 def cube():
@@ -281,69 +304,9 @@ def test_short_paths_match_through_second_neighbors():
     assert _short_paths(harary(3, 40), 3, np.array([0]), np.array([10])).tolist() == [False]
 
 
-def glued(rng, size, shared, p):
-    """Two random graphs on `size` vertices each, with edge probability p,
-    sharing the vertices size - shared .. size - 1."""
-    second = np.arange(size - shared, 2 * size - shared)
-    edges = random_graph(rng, size, p).edge_list()
-    edges += [(int(second[u]), int(second[v])) for u, v in random_graph(rng, size, p).edge_list()]
-    return SimpleGraph(2 * size - shared, edges)
-
-
-def kconn_graphs(k):
-    """(graph, k it is tested at) around the k boundary: random graphs, dense
-    and sparse, random graphs glued at k - 1 and at k vertices, Harary graphs
-    (where short paths fail and the flows decide), shared cliques, a wheel
-    and K_{k, n}."""
-    rng = np.random.default_rng(97 + k)
-    cases = [(random_graph(rng, int(rng.integers(k + 2, 16)), float(rng.uniform(0.4, 0.95))), k)
-             for _ in range(40)]
-    cases += [(glued(rng, int(rng.integers(k + 3, 11)), shared, float(rng.uniform(0.7, 1.0))), k)
-              for shared in (k - 1, k) for _ in range(10)]
-    cases += [(harary(k, n), kk) for n in (k + 2, 2 * k + 3, 17) for kk in (k, k + 1)]
-    cases += [(shared_cliques(size, shared), k) for size in (k + 2, k + 4) for shared in (k - 1, k)]
-    wheel = SimpleGraph(9, [(8, v) for v in range(8)] + cycle(8).edge_list())
-    cases += [(wheel, k), (SimpleGraph(k + 7, [(a, b) for a in range(k) for b in range(k, k + 7)]), k)]
-    return cases
-
-
-@pytest.mark.parametrize("k", (3, 4, 5))
-def test_k_connected_matches_flow_oracle_beyond_short_paths(k):
-    verdicts = set()
-    for g, kk in kconn_graphs(k):
-        expected = oracle_flow_k_connected(g.n, set(g.edge_list()), kk)
-        assert is_k_connected(g, kk) == expected, (kk, g.edge_list())
-        verdicts.add((expected, min_degree(g) >= kk))
-    assert verdicts >= {(True, True), (False, True), (False, False)}  # flows say no, too
-
-
-def spanning_tree(g, k):
-    """A breadth-first spanning tree of connected g, in place of its certificate."""
-    order, parent = breadth_first_order(g.matrix(), 0, directed=True, return_predecessors=True)
-    assert len(order) == g.n
-    return SimpleGraph(g.n, [(int(parent[v]), int(v)) for v in order[1:]])
-
-
-@pytest.mark.parametrize("k", (3, 4))
-def test_certificate_flow_never_decides_alone(monkeypatch, k):
-    """With a spanning tree for the certificate every certificate flow falls
-    short, so every verdict with pairs left over must come from g."""
-    monkeypatch.setattr(properties, "_scan_first_certificate", spanning_tree)
-    flowed = set()
-    for g, kk in kconn_graphs(k):
-        if not is_connected(g):
-            continue
-        expected = oracle_flow_k_connected(g.n, set(g.edge_list()), kk)
-        ok, flow_pairs = _k_connected(g, kk)
-        assert ok == expected, (kk, g.edge_list())
-        if flow_pairs:
-            flowed.add(ok)
-    assert flowed == {True, False}
-
-
 @pytest.mark.parametrize("k", (2, 3, 4))
 def test_scan_first_certificate_preserves_k_connectivity(k):
-    graphs = list(rig_graphs(k)) + [g for _, g, kk, _ in adversarial_graphs(k) if kk == k]
+    graphs = list(sampled_graphs(k)) + [g for _, g, kk, _ in adversarial_graphs(k) if kk == k]
     for g in graphs:
         cert = _scan_first_certificate(g, k)
         assert cert.n == g.n and set(cert.edge_list()) <= set(g.edge_list())
