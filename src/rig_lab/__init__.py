@@ -6,7 +6,7 @@ per-trial certificates, exact graph property checkers, and a reproducible
 Monte Carlo sweep harness.
 """
 
-__version__ = "0.1.0"  # set before the submodules load: experiments reads it
+__version__ = "0.2.0"  # set before the submodules load: experiments reads it
 
 from .errors import (
     CoverageNotReached,

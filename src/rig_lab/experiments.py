@@ -1,10 +1,12 @@
 """Seeded Monte Carlo sweeps along the c-axis of each threshold law.
 
 A sweep targets one law (connectivity, k-connectivity, perfect matching,
-Hamiltonicity, minimum degree, or one of the refined homogeneous displays),
-plans model parameters for every grid value c, runs seeded trials, and
-compares empirical frequencies against the limit prediction.  A trial is
-judged on its vertex-feature incidence, and projected only for a graph checker.
+Hamiltonicity, or one of the refined homogeneous displays), plans model
+parameters for every grid value c, runs seeded trials, and compares
+empirical frequencies against the limit prediction.  Every trial also
+records whether its min degree reaches the law's level, so the min-degree
+threshold is read off every sweep.  A trial is judged on its vertex-feature
+incidence, and projected only for a graph checker.
 
 Determinism contract: a sweep is a pure function of (config, master seed).
 Trials derive per-trial sub-seeds, so results are byte-identical at any
@@ -48,8 +50,6 @@ from .sampling import FeatureProbabilities, Seed, _encode_label, sample_rig
 from .thresholds import (
     _is_finite,
     _scale_explicit,
-    check_omega,
-    default_omega,
     homogeneous_p_for_target,
     limit_probability,
     refined_p_for_target,
@@ -83,8 +83,6 @@ _LAWS = {spec.name: spec for spec in (
     LawSpec("hamiltonicity", False, "zero-one", 2),
     LawSpec("hamiltonicity-refined", False, "zero-one", 2),
     LawSpec("k-connectivity-refined", False, "zero-one", 0),
-    LawSpec("min-degree", False, "f", 1),
-    LawSpec("min-degree-refined", False, "zero-one", 0),
 )}
 
 _TAG_RE = re.compile(r"^([a-z-]+?)(?:\((\d+)\))?$")
@@ -96,7 +94,10 @@ def parse_law_tag(tag: str) -> tuple[LawSpec, int]:
     if not m or m.group(1) not in _LAWS:
         raise ValidationError(f"unknown law tag {tag!r}; known: {sorted(_LAWS)}")
     spec = _LAWS[m.group(1)]
-    k = int(m.group(2)) if m.group(2) else 1
+    try:  # int() refuses more digits than sys.get_int_max_str_digits(), 4300 by default
+        k = int(m.group(2) or 1)
+    except ValueError:
+        raise ValidationError(f"the k of law {m.group(1)!r} has too many digits") from None
     if spec.delta_level == 0 and m.group(2) is None:
         raise ValidationError(f"law {spec.name!r} needs an explicit k, e.g. {spec.name}(2)")
     if spec.delta_level != 0 and m.group(2) is not None:
@@ -115,7 +116,6 @@ class ExperimentConfig:
     trials_per_point: int
     master_seed: int
     profile: dict = field(default_factory=lambda: {"kind": "homogeneous"})
-    omega: float | None = None
     hc_budget: int = DEFAULT_HC_BUDGET
     experiment_id: str = "sweep"
 
@@ -132,9 +132,6 @@ class ExperimentConfig:
             raise ValidationError(f"c_grid must be a list of finite numbers, got {self.c_grid!r}")
         if not isinstance(self.profile, dict):
             raise ValidationError(f"profile must be an object, got {self.profile!r}")
-        if self.omega is not None:
-            check_omega(self.omega)
-            object.__setattr__(self, "omega", float(self.omega))
         try:
             _encode_label(self.experiment_id)
         except ValidationError as exc:
@@ -191,10 +188,8 @@ class ExperimentConfig:
     def manifest(self) -> dict:
         """Config echo with every default filled in.  It holds the config's own
         field values, the profile too (``asdict`` would deep-copy its m values)."""
-        n_vertices = self.vertices_per_trial
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
-                "vertices_per_trial": n_vertices, "version": __version__,
-                "omega": default_omega(n_vertices) if self.omega is None else self.omega}
+                "vertices_per_trial": self.vertices_per_trial, "version": __version__}
 
 
 @dataclass(frozen=True)
@@ -277,7 +272,8 @@ def _predicted_value(spec: LawSpec, c: float) -> float | None:
 
 
 def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoint:
-    """Resolve one grid value into a fully specified model."""
+    """Resolve one grid value into a fully specified model; a grid value or k
+    that cannot be planned, a float overflow among them, is a PlanningError."""
     spec, k = parse_law_tag(config.theorem)
     n, m = config.vertices_per_trial, config.m
     try:
@@ -303,7 +299,7 @@ def plan_point(config: ExperimentConfig, c: float, index: int = 0) -> PlannedPoi
         return PlannedPoint(index=index, c=float(c), n_vertices=n, probabilities=probs,
                             s1_target=s1_target, s1_achieved=st.S1, a_n=st.a_n,
                             predicted=_predicted_value(spec, float(c)))
-    except (OutOfRangeError, ValidationError) as exc:
+    except (OutOfRangeError, ValidationError, OverflowError) as exc:
         raise PlanningError(f"cannot plan {config.theorem} point c={c}: {exc}") from exc
 
 
@@ -333,23 +329,19 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
     and the cut pairs the k-connectivity checker sent to max-flow (each 0
     for the other laws), and the seconds spent projecting.
 
-    Connectivity, k-connectivity for k = 1 and min degree >= 1 are read off
-    the incidence.  Every other law answers "no" when some vertex's degree
-    bound is below the level, and only otherwise projects the sample for its
-    checker.
+    Connectivity and k-connectivity for k = 1 are read off the incidence.
+    Every other law answers "no" when some vertex's degree bound is below
+    the level, and only otherwise projects the sample for its checker.
     """
     name = spec.name.removesuffix("-refined")
     level = spec.delta_level or k
     bounds = _degree_bounds(inst)
-    covered = bool(bounds.min() > 0)  # min degree >= 1
     if name == "connectivity" or (name == "k-connectivity" and k == 1):
-        # kappa >= 1 needs two vertices, as in is_k_connected; is_connected does not
-        ok = (inst.n > 1 or name == "connectivity") and _incidence_connected(inst)
+        covered = bool(bounds.min() > 0)  # min degree >= 1
+        ok = _incidence_connected(inst)
         if ok and not covered:
             raise AssertionError("connected graph with an isolated vertex")
         return ("yes" if ok else "no"), covered, 0, 0, 0.0
-    if name == "min-degree" and level == 1:
-        return ("yes" if covered else "no"), covered, 0, 0, 0.0
     if inst.n >= 3 and bounds.min() < level:  # below 3 vertices the checkers validate n
         return "no", False, 0, 0, 0.0
     start = time.perf_counter()
@@ -365,14 +357,12 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
         ok = has_perfect_matching(g)
         if ok and not degree_ok:
             raise AssertionError("perfect matching with an isolated vertex")
-    elif name == "hamiltonicity":
+    else:  # hamiltonicity
         result = hamiltonicity(g, budget=hc_budget, seed=trial_seed.child("hc"))
         cycle = result.certificate  # a Hamilton cycle makes g 2-connected
         if result.verdict == "yes" and not (degree_ok and cycle and _is_hamilton_cycle(g, cycle)):
             raise AssertionError("Hamiltonian graph that is not 2-connected, or no Hamilton cycle")
         return result.verdict, degree_ok, result.effort, 0, project_seconds
-    else:  # min-degree at a level above 1
-        ok = degree_ok
     return ("yes" if ok else "no"), degree_ok, 0, flow_pairs, project_seconds
 
 

@@ -268,10 +268,11 @@ def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:
     """Numerator of the refined homogeneous threshold displays (without c).
 
     kind "hamiltonicity":   ln n + ln(max{1, ln(np*e^(-np)*ln n / (1-e^(-np)))})
-    kind "k-connectivity" / "min-degree" (same display):
-        ln n + ln(max{1, (np)^(k-1) * (r^(k-1) + r)})   with
-        r = e^(-np)*ln n / (1-e^(-np))
+    kind "k-connectivity":  ln n + ln(max{1, (np)^(k-1) * (r^(k-1) + r)})   with
+                            r = e^(-np)*ln n / (1-e^(-np))
 
+    The k-connectivity term is taken in logarithms only where the plain
+    product overflows; a k too large even for that raises OverflowError.
     The caller adds its grid value c and divides by m.
     """
     if not (0.0 < p < 1.0):
@@ -283,10 +284,17 @@ def refined_threshold_rhs(n: int, p: float, kind: str, k: int = 1) -> float:
     if kind == "hamiltonicity":
         inner_arg = x * math.exp(-x) * math.log(n) / -math.expm1(-x)
         inner = math.log(inner_arg) if inner_arg > 0 else -math.inf
-    elif kind in ("k-connectivity", "min-degree"):
+    elif kind == "k-connectivity":
         if k < 1:
             raise ValidationError(f"k must be positive, got {k}")
-        inner = x ** (k - 1) * (r ** (k - 1) + r)
+        try:
+            inner = x ** (k - 1) * (r ** (k - 1) + r)
+        except OverflowError:
+            inner = math.inf
+        if inner == math.inf:  # in logs, with ln r = ln ln n - np - ln(1 - e^(-np))
+            log_x, log_r = math.log(x), math.log(math.log(n)) - x - math.log(-math.expm1(-x))
+            log_inner = np.logaddexp((k - 1) * (log_x + log_r), (k - 1) * log_x + log_r)
+            return math.log(n) + max(0.0, float(log_inner))
     else:
         raise ValidationError(f"unknown kind {kind!r}")
     return math.log(n) + math.log(max(1.0, inner))

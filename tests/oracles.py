@@ -121,8 +121,6 @@ def oracle_judge(spec, k, g, hc_budget, trial_seed):
             if deg < 2 or not is_biconnected(g):
                 raise AssertionError("Hamiltonian graph that is not 2-connected")
         return verdict.verdict, deg
-    if name in ("min-degree", "min-degree-refined"):
-        return ("yes" if deg >= k else "no"), deg
     raise AssertionError(f"unhandled law {name}")
 
 
@@ -497,6 +495,15 @@ def oracle_stats(n, pvec):
                         s3 += prob
                     s1t[t] += t * prob
         return float(s1), float(s2), float(s3), [float(x) for x in s1t[2:]]
+
+
+def oracle_refined_k_rhs(n, p, k):
+    """The refined k-connectivity display ln n + ln(max{1, (np)^(k-1) * (r^(k-1) + r)}),
+    r = e^(-np) ln n / (1 - e^(-np)), evaluated as written at 50 significant digits."""
+    with mpmath.workdps(50):
+        x = n * mpmath.mpf(p)
+        r = mpmath.exp(-x) * mpmath.log(n) / -mpmath.expm1(-x)
+        return float(mpmath.log(n) + mpmath.log(max(1, x ** (k - 1) * (r ** (k - 1) + r))))
 
 
 def oracle_fsum(terms, counts=None):

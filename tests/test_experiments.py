@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rig_lab import (
+    __version__,
     ExperimentConfig,
     HamiltonicityVerdict,
     PlanningError,
@@ -26,6 +28,7 @@ from rig_lab import (
     per_feature_mass,
     plan_point,
     project_rig,
+    refined_threshold_rhs,
     run_sweep,
     sample_rig,
     summary_stats,
@@ -79,12 +82,20 @@ def test_config_validation():
         make_config(profile={"kind": "magic"})
     with pytest.raises(ValidationError):
         ExperimentConfig.from_dict({"theorem": "connectivity"})
-    for omega in (0.0, math.inf, math.nan):
-        with pytest.raises(ValidationError):
-            make_config(omega=omega)
-    cfg = ExperimentConfig.from_dict(dict(
-        theorem="connectivity", n=50, m=50, c_grid=[0.0], trials_per_point=1, master_seed=1))
-    assert cfg.manifest()["omega"] > 0
+    doc = dict(theorem="connectivity", n=50, m=50, c_grid=[0.0], trials_per_point=1, master_seed=1)
+    # no sweep trial reads omega, so it is no config key
+    with pytest.raises(ValidationError, match="unknown config fields"):
+        ExperimentConfig.from_dict({**doc, "omega": 2.0})
+    manifest = ExperimentConfig.from_dict(doc).manifest()
+    assert "omega" not in manifest and manifest["version"] == __version__
+    assert len(fields(ExperimentConfig)) == 9
+
+
+def test_version_agrees_with_pyproject():
+    # the manifest's version is what tells one summary.json shape from another
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 def test_plan_point_connectivity_residual():
@@ -133,9 +144,23 @@ def test_plan_point_refined_laws():
         plan_point(make_config(theorem="hamiltonicity-refined", n=100, m=100,
                                profile={"kind": "explicit", "values": [0.01] * 100}), 0.0)
     # a NaN residual fails the solver's bracket and residual checks
-    for law in ("hamiltonicity-refined", "k-connectivity-refined(2)", "min-degree-refined(3)"):
+    for law in ("hamiltonicity-refined", "k-connectivity-refined(2)", "k-connectivity-refined(3)"):
         with pytest.raises(PlanningError):
             plan_point(make_config(theorem=law, n=100, m=40), math.nan)
+
+
+def test_plan_point_refined_k_past_the_float_range():
+    # r^(k-1) overflows at p = 1e-15 for k >= 26 at n = m = 1000; the display
+    # is then taken in logarithms, and the point passes the solver's residual check
+    cfg = make_config(theorem="k-connectivity-refined(30)", n=1000, m=1000)
+    pt = plan_point(cfg, 0.0)
+    p = pt.probabilities.values[0]
+    target = refined_threshold_rhs(1000, p, "k-connectivity", 30) / 1000
+    assert abs(per_feature_mass(1000, p) - target) / target <= 1e-8
+    assert pt.s1_achieved == pytest.approx(pt.s1_target, rel=1e-8)
+    # a k past the float range is a planning error
+    with pytest.raises(PlanningError):
+        plan_point(make_config(theorem=f"k-connectivity-refined({10**400})"), 0.0)
 
 
 def test_run_sweep_single_trial():
@@ -203,10 +228,26 @@ def test_sweep_consistency_assertions_hold():
     cfg = make_config(theorem="hamiltonicity", n=40, m=40, c_grid=(2.0,), trials_per_point=6)
     res = run_sweep(cfg)
     assert all(r.outcome in ("yes", "no", "unknown") for r in res.records)
-    cfg2 = make_config(theorem="min-degree", n=60, m=60, c_grid=(0.0,), trials_per_point=10)
-    res2 = run_sweep(cfg2)
-    s = res2.summaries[0]
-    assert s.min_degree_ok_frequency == s.frequency  # same event for this law
+
+
+# The per-trial verdicts, "y" or "n" in (point, trial) order, of the min-degree
+# laws that these sibling laws replaced, recorded from those laws at the same
+# configs before their removal: ("min-degree", 80, 80) and
+# ("min-degree-refined(2)", 100, 40), both at c = -1 and +1 with 10 trials
+_MIN_DEGREE_VERDICTS = [
+    ("connectivity", 80, 80, "nnnnnnynnnyyynnynnyy"),
+    ("k-connectivity-refined(2)", 100, 40, "nnnnnnnnnnyyynnyynyn"),
+]
+
+
+@pytest.mark.parametrize("law, n, m, verdicts", _MIN_DEGREE_VERDICTS,
+                         ids=[law for law, *_ in _MIN_DEGREE_VERDICTS])
+def test_degree_ok_reproduces_the_min_degree_laws(law, n, m, verdicts):
+    # a sibling law plans the same points and draws the same samples, so its
+    # degree_ok is the min-degree verdict, trial by trial
+    config = ExperimentConfig(theorem=law, n=n, m=m, c_grid=(-1.0, 1.0), trials_per_point=10,
+                              master_seed=2024, experiment_id="law-pin")
+    assert "".join("y" if r.degree_ok else "n" for r in run_sweep(config).records) == verdicts
 
 
 def test_compare_to_limit_values():
@@ -418,10 +459,10 @@ def test_hamiltonicity_below_three_vertices_aborts_the_sweep():
         run_sweep(cfg)
 
 
-_ORACLE_LAWS = ("connectivity", "min-degree", "perfect-matching", "hamiltonicity",
-                "hamiltonicity-refined", "k-connectivity(1)", "k-connectivity(2)",
-                "k-connectivity(3)", "k-connectivity-refined(2)", "min-degree-refined(1)",
-                "min-degree-refined(2)", "min-degree-refined(3)")
+_ORACLE_LAWS = ("connectivity", "perfect-matching", "hamiltonicity", "hamiltonicity-refined",
+                "k-connectivity(1)", "k-connectivity(2)", "k-connectivity(3)",
+                "k-connectivity-refined(1)", "k-connectivity-refined(2)",
+                "k-connectivity-refined(3)")
 
 
 def _assert_judge_matches_oracle(tags, inst, trial_seed):
@@ -669,6 +710,7 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     ("n", "100"), ("m", 40.0), ("trials_per_point", True), ("hc_budget", "1000"),
     ("master_seed", -1), ("master_seed", 2**64), ("master_seed", 1.5),
     ("c_grid", ["0.0"]), ("c_grid", [0.0, None]), ("profile", "homogeneous"),
+    # omega is no config key, so every omega case takes the unknown-key path
     ("theorem", 5), ("omega", "x"), ("profile", {"kind": "explicit", "values": [0.01] * 39 + ["a"]}),
     ("experiment_id", 1.5), ("experiment_id", [1]), ("hc_budget", -1),
     ("omega", math.inf), ("omega", math.nan),  # json writes Infinity and NaN, and reads them back
@@ -691,6 +733,12 @@ def test_cli_rejects_malformed_json(tmp_path, capsys, command, text):
     ("profile", {"kind": "homogeneous", "values": [1, 2]}),
     ("profile", {"kind": "homogeneous", "p": 0.1}),
     ("profile", {"kind": "explicit", "values": [0.01] * 40, "scale": 2.0}),
+    pytest.param("omega", 2.0, id="omega-valid"),
+    # the min-degree laws are gone: their verdict is every trial's degree_ok
+    ("theorem", "min-degree"), ("theorem", "min-degree-refined(2)"),
+    # a k past the float range fails planning, not with an OverflowError
+    pytest.param("theorem", f"k-connectivity({10**400})", id="theorem-401-digit-k"),
+    pytest.param("theorem", f"k-connectivity(1{'0' * 5000})", id="theorem-5001-digit-k"),
 ])
 def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     cfg = {"theorem": "connectivity", "n": 40, "m": 40, "c_grid": [0.0],
@@ -700,7 +748,7 @@ def test_cli_sweep_rejects_mistyped_config(tmp_path, capsys, field, value):
     path.write_text(json.dumps(cfg))
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -142,35 +142,32 @@ def test_sample_streams_are_pinned():
 _LAW_PINS = [  # (law, n, m, c_grid, trials, sha256 of results.csv, sha256 of summary.json)
     ("connectivity", 80, 80, (-1.0, 1.0), 10,
      "186e5492372a5a67c6533bc6fcd6ad80fedb2ecc3203c5e91b6618f97668c72a",
-     "616a72cac10cdc0a8bcd934c592e86ca051e43569c69b5722acc83222d08bd8d"),
-    ("min-degree", 80, 80, (-1.0, 1.0), 10,
-     "e7176833844769802ff34b3da3acf6d8438e8042fcca77220c1d5107e932c97e",
-     "3d496d118cfeb7323e06d8ee5fea158e74bfa0c82425959854ea4d8abb841db5"),
+     "64f0bae3076cdefc93db3d93d8ddcf3f3649f33c61026e40cbd144fe57e40d83"),
     ("perfect-matching", 40, 60, (-1.0, 1.0), 10,
      "b4754746214dd861916715f44c040c1d3659fb4643ebf330b74bb2e821d59520",
-     "136e1181261399eca1f5a5e785d656af49cc23ec4bad486cf70cc60a1701984c"),
+     "ba271cb1229c44508e455a4d8f7a6159e3140a824b0c2ece592cee79ab4a6e6f"),
     ("hamiltonicity", 40, 40, (-2.0, 2.0), 8,
      "a3d50b35723c24f4e94a1cd4c65c3a3517cc4a81e89040c7e660d6adfc6d4a7d",
-     "18bd653db225a05beabd2fe8ef9dfc4531caff2af71f2c2550c5a62e5796a7b6"),
+     "4daf273fee00b572129a1ded54e1bed06798398d5c450ee26788304161adfb47"),
     ("k-connectivity(1)", 80, 80, (-1.0, 1.0), 10,
      "845aec982a05deadd1fce8e8eabb9341d6abf4449abc420b572928ca26cd99a6",
-     "cf23ce0909c1e9c036a1bca956c21a60c7aeff3fce408d55d4a5e6f962a7bdc1"),
+     "38a283d372adce3e6e7de0cb314ba0327c9b2b43dee464957fe59fa184008c13"),
     ("k-connectivity(2)", 60, 60, (-1.0, 1.0), 8,
      "9adcd53ca657c363d1789d956c732cb19244b8e56a7b913ed82179ff9cdf3000",
-     "b6fbcd17aaa48a4d5eed5633da47abfbdf90af081076cfb9d8ab903dc8d41066"),
+     "27f44154ee99a6da984f3743790a033e764e111635c98c104c235fcdda324272"),
     ("k-connectivity(3)", 50, 50, (-3.0, 1.0), 6,
      "0d3bf042dbbf98616e69b3fbba47b0218b5fff5c7e2c6dace8d30c0320809860",
-     "6c9b59bdc2244f7d6901640b3b6bdac82a86f9c29e10e2e1b6ab07a81fef5c53"),
+     "ba616c026737b3b819e27d35357199b7125ec99c85b6fe7f7bc3e6495bc47d6a"),
     ("hamiltonicity-refined", 100, 40, (-1.0, 1.0), 8,
      "ad2093c0e4ee95c7e4848d6db923c0e34e4cbc16a26395ed51bc2347f501ab57",
-     "0fff05c320e4590d9e1ed6e9d9d7530ded457d110d0aad8a6e425aeca89b5c6d"),
-    ("min-degree-refined(2)", 100, 40, (-1.0, 1.0), 10,
-     "ec989aeddef709cdf15019b0562c99e107692c31d46e5c6433a788f97be52286",
-     "59d4c9b685aeedf51d4ab8640c2a0f3f0b7941988d97c2ae7f87870648aeac69"),
+     "e8867ba197dd670c5f4453aecce902327e9e57cd5cec007156c622688e21065a"),
+    ("k-connectivity-refined(2)", 100, 40, (-1.0, 1.0), 10,
+     "4fcf59070b4cc09d973422edf5cb0ad3f0bc2e3bb38598e4848036549f3a9574",
+     "4408d1aef1ffb43c28c7e41bd343b4866ec7c6fecec447541ebca22e60d65acb"),
     # m >> n: short disjoint paths certify few cut pairs, so max-flow decides the rest
     ("k-connectivity(3)", 60, 600, (-1.0, 1.0), 8,
      "1cc86ba7421a9efe115623f834a4af5cbb2cc6744522d20324a2de4aa2d20b13",
-     "f4a04bf639e4c6af311abf76b5bb4b5136ef04b970b4ee0bc46ec418ed05f014"),
+     "8b2e868d287b9a6afa712f25ac29d8605f81ee1a666e21f043a490eaaaacc00e"),
 ]
 
 

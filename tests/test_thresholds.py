@@ -25,7 +25,7 @@ from rig_lab import (
 )
 from rig_lab.thresholds import _distinct, _fsum, _scale_explicit, _weights, sandwich_law
 from oracles import (balanced_feature_ratio, c_from_s1, oracle_feature_sums, oracle_fsum,
-                     oracle_run_coupling_trial, oracle_stats)
+                     oracle_refined_k_rhs, oracle_run_coupling_trial, oracle_stats)
 
 
 def test_hand_example_n3():
@@ -220,6 +220,17 @@ def test_refined_rhs_k1_reduction():
     expected = math.log(n) + math.log(1.0 + r)
     assert refined_threshold_rhs(n, p, "k-connectivity", k=1) == pytest.approx(expected, rel=1e-12)
     assert 1.0 + r == pytest.approx(2.0813, abs=2e-4)
+
+
+@pytest.mark.parametrize("n, p, k", [
+    (1000, 1e-15, 30), (1000, 1e-15, 26), (100, 1e-15, 24), (2, 1e-15, 400),  # r^(k-1) overflows
+    (1000, 0.05, 200), (1000, 0.3, 120), (1000, 0.999, 500),  # (np)^(k-1) overflows
+    (1000, 1e-15, 25), (300, 0.01, 3),  # the plain product
+])
+def test_refined_rhs_k_matches_high_precision_oracle(n, p, k):
+    # past the float range the display is taken in logarithms
+    assert refined_threshold_rhs(n, p, "k-connectivity", k) == pytest.approx(
+        oracle_refined_k_rhs(n, p, k), rel=1e-14)
 
 
 def test_refined_rhs_hamiltonicity_chain():
