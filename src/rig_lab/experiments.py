@@ -138,9 +138,9 @@ class ExperimentConfig:
             raise ValidationError(f"experiment_id must be a stream label: {exc}") from None
         if not isinstance(self.theorem, str):
             raise ValidationError(f"theorem must be a law tag string, got {self.theorem!r}")
-        parse_law_tag(self.theorem)
-        if self.n < 2 or self.m < 1:
-            raise ValidationError("need n >= 2 and m >= 1")
+        least_n = 3 if parse_law_tag(self.theorem)[0].name.startswith("hamiltonicity") else 2
+        if self.n < least_n or self.m < 1:
+            raise ValidationError(f"need n >= {least_n} and m >= 1 for {self.theorem}")
         _check_key_range(self.vertices_per_trial, self.m)
         grid = tuple(float(c) for c in self.c_grid)
         object.__setattr__(self, "c_grid", grid)
@@ -212,7 +212,7 @@ class TrialRecord:
     outcome: str  # "yes" | "no" | "unknown"
     degree_ok: bool  # min degree >= the law's level (1, 2 or k)
     hc_effort: int  # the Hamiltonicity checker's effort; 0 for the other laws
-    flow_pairs: int  # cut pairs the k-connectivity checker sent to max-flow; 0 for the other laws
+    flow_pairs: int  # cut pairs neither short paths nor the closure settled; 0 for the other laws
     # wall seconds to sample, project (0.0 if never projected) and judge; outside the
     # determinism contract
     stage_seconds: tuple[float, float, float] = field(compare=False)
@@ -342,7 +342,7 @@ def _judge(spec: LawSpec, k: int, inst: RigInstance, hc_budget: int,
         if ok and not covered:
             raise AssertionError("connected graph with an isolated vertex")
         return ("yes" if ok else "no"), covered, 0, 0, 0.0
-    if inst.n >= 3 and bounds.min() < level:  # below 3 vertices the checkers validate n
+    if bounds.min() < level:
         return "no", False, 0, 0, 0.0
     start = time.perf_counter()
     g = project_rig(inst)

@@ -4,9 +4,9 @@
 * k-connectivity, as the yes/no question kappa >= k: one breadth-first
   search from vertex 0 (``scipy.sparse.csgraph``) for k = 1, low points over
   scipy's depth-first tree for k = 2, and for k >= 3 the Esfahanian-Hakimi
-  cut pairs of g, each certified by k disjoint paths of length at most 3 or
-  sent to max-flow: Dinic (scipy), one call per block-diagonal network of
-  vertex-split copies of the scan-first certificate of at most k(n-1) edges
+  cut pairs of g, each certified by k disjoint paths of length at most 3, or
+  joined by the common-neighbor closure of g, or sent to max-flow: Dinic
+  (scipy), one call per pair on the vertex-split network of g
 * perfect matching: a cycle cover from Hopcroft-Karp on the bipartite
   double cover (scipy), then Edmonds' blossom search over CSR rows from the
   exposed vertex of each odd cycle (the greedy-plus-blossom matcher it
@@ -31,7 +31,7 @@ from scipy.sparse.csgraph import (breadth_first_order, depth_first_order,
                                   maximum_bipartite_matching, maximum_flow)
 
 from .errors import ValidationError
-from .graphs import Edge, SimpleGraph, _has_arcs, _in_sorted
+from .graphs import SimpleGraph, _has_arcs, _in_sorted
 from .sampling import Seed, _as_rng
 
 DEFAULT_HC_BUDGET = 200_000
@@ -52,7 +52,7 @@ def is_connected(g: SimpleGraph) -> bool:
 # --- connectivity by max-flow ------------------------------------------------
 
 
-_FLOW_ARC_CAP = 1 << 14  # arcs past which the pair copies go to a new flow network
+_CLOSURE_MAX_N = 2048  # n past which no closure runs: its float32 H and H @ H take 16 MiB each here
 _PATH_ENTRY_CAP = 1 << 18  # row entries past which the short-path search takes the pairs in parts
 
 
@@ -71,35 +71,6 @@ def _cut_pairs(g: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
     gap = ~_has_arcs(g, a, b)
     return (np.concatenate((np.full(len(far), v0), a[gap])),
             np.concatenate((far, b[gap])))
-
-
-def _scan_first_certificate(g: SimpleGraph, k: int) -> SimpleGraph:
-    """Union of k scan-first (BFS) forests, forest i spanning the edges that
-    forests 1..i-1 left unused.  It has at most k(n-1) edges and is
-    k-vertex-connected iff the input is (Cheriyan-Kao-Thurimella, SIAM J.
-    Comput. 22, 1993)."""
-    rest = [set(row) for row in g.neighbor_lists()]
-    cert: list[Edge] = []
-    for _ in range(k):
-        seen = [False] * g.n
-        forest = []
-        for root in range(g.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for w in rest[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-                        forest.append((v, w))
-        for v, w in forest:
-            rest[v].discard(w)
-            rest[w].discard(v)
-        cert += forest
-    return SimpleGraph(g.n, cert)
 
 
 def _rows(g: SimpleGraph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +133,31 @@ def _short_paths(g: SimpleGraph, k: int, sources: np.ndarray, sinks: np.ndarray)
     return certified
 
 
+def _closure_joins(g: SimpleGraph, k: int, sources: np.ndarray, sinks: np.ndarray) -> np.ndarray:
+    """Per non-adjacent pair (s, t), whether the common-neighbor closure of g
+    joins it, which shows kappa(s, t) >= k in g.  Sound, not complete.
+
+    H starts as g, and each round adds to H every pair with at least k common
+    neighbors in H, until every queried pair is an H-edge or a round adds
+    nothing.  No set C of fewer than k vertices separates the ends of an
+    H-edge in g: an added pair has a common neighbor outside C, and by
+    induction C separates neither end from it (the Bondy-Chvatal closure,
+    Discrete Math. 15, 1976, applied to connectivity).  H is dense float32,
+    whose sums of 0/1 entries stay exact below 2^24 in any summation order,
+    so the result does not depend on how BLAS splits H @ H.
+    """
+    h = g.matrix().astype(np.float32).toarray()
+    arcs = len(g.indices)
+    while not (joined := h[sources, sinks] > 0).all():
+        common = h @ h
+        np.fill_diagonal(common, 0)
+        h[common >= k] = 1
+        arcs, before = np.count_nonzero(h), arcs
+        if arcs == before:
+            break
+    return joined
+
+
 def _k_connected(g: SimpleGraph, k: int) -> tuple[bool, int]:
     """`is_k_connected`, and the number of cut pairs it sent to max-flow."""
     if k < 1:
@@ -176,30 +172,21 @@ def _k_connected(g: SimpleGraph, k: int) -> tuple[bool, int]:
         return False, 0
     sources, sinks = _cut_pairs(g)
     left = ~_short_paths(g, k, sources, sinks)
+    if left.any() and g.n <= _CLOSURE_MAX_N:
+        left[left] = ~_closure_joins(g, k, sources[left], sinks[left])
     sources, sinks = sources[left], sinks[left]
     if not len(sources):
         return True, 0
-    cert = _scan_first_certificate(g, k)
     # vertex split: v becomes 2v -> 2v+1 (its unit budget), edge {u, v} 2u+1 -> 2v and 2v+1 -> 2u;
     # int32 throughout, the index type scipy's max-flow runs on, so that it converts nothing
-    arc_tails, arc_heads = cert.arcs()
+    arc_tails, arc_heads = g.arcs()
     budget = 2 * np.arange(g.n, dtype=np.int32)
     tails = np.concatenate((budget, 2 * arc_tails.astype(np.int32) + 1))
     heads = np.concatenate((budget + 1, 2 * arc_heads.astype(np.int32)))
-    per_net = max(1, _FLOW_ARC_CAP // (len(tails) + 2))
-    for first in range(0, len(sources), per_net):
-        s = sources[first:first + per_net].astype(np.int32)
-        t = sinks[first:first + per_net].astype(np.int32)
-        offset = 2 * g.n * np.arange(len(s), dtype=np.int32)
-        source, sink = 2 * g.n * len(s), 2 * g.n * len(s) + 1
-        net_tails = np.concatenate(((tails + offset[:, None]).ravel(),
-                                    np.full(len(s), source, dtype=np.int32), offset + 2 * t))
-        net_heads = np.concatenate(((heads + offset[:, None]).ravel(),
-                                    offset + 2 * s + 1, np.full(len(s), sink, dtype=np.int32)))
-        caps = np.ones(len(net_tails), dtype=np.int32)
-        caps[-2 * len(s):] = k
-        net = csr_array((caps, (net_tails, net_heads)), shape=(sink + 1, sink + 1))
-        if maximum_flow(net, source, sink).flow_value < k * len(s):
+    net = csr_array((np.ones(len(tails), dtype=np.int32), (tails, heads)),
+                    shape=(2 * g.n, 2 * g.n))
+    for s, t in zip(sources.tolist(), sinks.tolist()):
+        if maximum_flow(net, 2 * s + 1, 2 * t).flow_value < k:
             return False, len(sources)
     return True, len(sources)
 
@@ -211,13 +198,10 @@ def is_k_connected(g: SimpleGraph, k: int) -> bool:
     min degree >= k, g is k-connected iff every Esfahanian-Hakimi cut pair
     (s, t) of g, a non-adjacent pair, has kappa(s, t) >= k (Menger).  Most
     pairs are settled by k disjoint paths of length at most 3
-    (`_short_paths`).  Each pair left gets a copy of the vertex-split network
-    of the scan-first certificate, which is k-connected iff g is, with an arc
-    of capacity k from a super-source to 2s+1 and from 2t to a super-sink.
-    The copies share one max-flow call per block-diagonal network of about
-    `_FLOW_ARC_CAP` arcs, and g is k-connected iff each flow is k per copy:
-    the pairs are non-adjacent in the certificate too, so a flow short of k
-    shows that the certificate, and so g, is not k-connected.
+    (`_short_paths`), and most of the rest by the common-neighbor closure
+    (`_closure_joins`, for n up to `_CLOSURE_MAX_N`).  Each pair left gets
+    one max-flow on the vertex-split network of g, from s's out-copy to t's
+    in-copy, and g is k-connected iff each flow is at least k.
     """
     return _k_connected(g, k)[0]
 

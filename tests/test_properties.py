@@ -17,10 +17,9 @@ from rig_lab import (
 )
 from rig_lab.experiments import ExperimentConfig, plan_point
 from rig_lab.graphs import project_rig
-from rig_lab.properties import (_FLOW_ARC_CAP, _augment_from, _biconnected_sides,
-                                _bipartite_parts, _cut_pairs, _is_hamilton_cycle, _k_connected,
-                                _perfect_matching, _posa_search, _scan_first_certificate,
-                                _short_paths, is_biconnected)
+from rig_lab.properties import (_augment_from, _biconnected_sides, _bipartite_parts,
+                                _closure_joins, _cut_pairs, _is_hamilton_cycle, _k_connected,
+                                _perfect_matching, _posa_search, _short_paths, is_biconnected)
 from rig_lab.sampling import _as_rng, sample_rig
 from conftest import random_graph
 from oracles import (
@@ -211,22 +210,17 @@ def test_cut_pairs_match_set_oracle():
         assert list(zip(sources.tolist(), sinks.tolist())) == pairs
 
 
-def test_cut_pairs_span_several_flow_networks():
-    """At n = 200 the k = 3 pairs that no short paths certify fill several
-    capped flow networks, and the pairs that the hung clique's 2-vertex cut
-    separates all lie in the last."""
+def test_closure_leaves_harary_pairs_to_max_flow():
+    """At n = 200 no two vertices of H_(3,n) share 3 neighbors, so the closure
+    joins none of the k = 3 pairs that no short paths certify, and each goes
+    to its own max-flow, which finds the hung clique's 2-vertex cut."""
     for g in (harary(3, 200), hung_clique(3, 200)):
         assert min_degree(g) == 3
         sources, sinks = _cut_pairs(g)
         left = ~_short_paths(g, 3, sources, sinks)
         sources, sinks = sources[left], sinks[left]
-        cert = _scan_first_certificate(g, 3)
-        per_net = _FLOW_ARC_CAP // (g.n + len(cert.indices) + 2)  # arcs per copy
-        assert len(sources) > 5 * per_net
+        assert len(sources) > 100 and not _closure_joins(g, 3, sources, sinks).any()
         assert _k_connected(g, 3)[1] == len(sources)
-    last = (len(sources) - 1) // per_net * per_net
-    split = np.flatnonzero(np.maximum(sources, sinks) >= 200)  # pairs into the clique
-    assert len(split) and split.min() >= last
 
 
 def glued(rng, size, shared, p):
@@ -241,11 +235,12 @@ def glued(rng, size, shared, p):
 def sampled_graphs(k):
     """Random graphs to test at k against the oracle: projected random
     intersection graphs near the k-connectivity threshold, where a "no"
-    comes from the min-degree obstruction, and dense random graphs, alone
+    comes from the min-degree obstruction (at m = 10n, short paths leave cut
+    pairs that the closure joins), and dense random graphs, alone
     and glued at k - 1 and at k vertices, where flow cuts below k occur."""
     for c in (-1.0, 1.0):
-        for n in (40, 60, 80):
-            config = ExperimentConfig(theorem=f"k-connectivity({k})", n=n, m=n, c_grid=(c,),
+        for n, m in ((40, 40), (60, 60), (80, 80), (40, 400), (60, 600)):
+            config = ExperimentConfig(theorem=f"k-connectivity({k})", n=n, m=m, c_grid=(c,),
                                       trials_per_point=1, master_seed=41)
             point = plan_point(config, c)
             for trial in range(2):
@@ -259,20 +254,33 @@ def sampled_graphs(k):
             yield glued(rng, int(rng.integers(k + 3, 11)), shared, float(rng.uniform(0.7, 1.0)))
 
 
+def closure_settled(g, k, flow_pairs):
+    """Cut pairs that `_k_connected` settled by the closure: those short paths
+    left, less those it sent to max-flow."""
+    if k < 3 or g.n <= k or min_degree(g) < k:
+        return 0
+    sources, sinks = _cut_pairs(g)
+    return np.count_nonzero(~_short_paths(g, k, sources, sinks)) - flow_pairs
+
+
 @pytest.mark.parametrize("k", (2, 3, 4, 5))
 def test_k_connected_matches_flow_oracle(k):
     flow_no = 0  # "no" verdicts that a max-flow gave
+    closed = 0  # cut pairs the closure settled
     for g in sampled_graphs(k):
         expected = oracle_flow_k_connected(g.n, set(g.edge_list()), k)
         ok, flow_pairs = _k_connected(g, k)
         assert ok == expected, (k, g.edge_list())
         flow_no += not ok and flow_pairs > 0
+        closed += closure_settled(g, k, flow_pairs)
     for name, g, kk, expected in adversarial_graphs(k):
         assert oracle_flow_k_connected(g.n, set(g.edge_list()), kk) == expected, name
         ok, flow_pairs = _k_connected(g, kk)
         assert ok == expected, name
         flow_no += not ok and flow_pairs > 0
+        closed += closure_settled(g, kk, flow_pairs)
     assert flow_no or k == 2
+    assert closed or k == 2
 
 
 def cube():
@@ -291,9 +299,10 @@ def test_short_paths_certify_only_pairs_with_k_disjoint_paths(data):
     apart = [(s, t) for s in range(n) for t in range(s + 1, n) if not adjacent(g, s, t)]
     sources, sinks = np.array(apart, dtype=np.int64).reshape(-1, 2).T
     adj = [set(row) for row in g.neighbor_lists()]
-    for s, t in zip(*(side[_short_paths(g, k, sources, sinks)].tolist()
-                      for side in (sources, sinks))):
-        assert _local_vertex_connectivity(adj, n, s, t, k) >= k, (n, k, s, t, g.edge_list())
+    for certify in (_short_paths, _closure_joins):
+        for s, t in zip(*(side[certify(g, k, sources, sinks)].tolist()
+                          for side in (sources, sinks))):
+            assert _local_vertex_connectivity(adj, n, s, t, k) >= k, (certify, n, k, s, t)
 
 
 def test_short_paths_match_through_second_neighbors():
@@ -302,17 +311,6 @@ def test_short_paths_match_through_second_neighbors():
     assert _short_paths(cube(), 3, *pair).tolist() == [True]
     assert _short_paths(cube(), 4, *pair).tolist() == [False]
     assert _short_paths(harary(3, 40), 3, np.array([0]), np.array([10])).tolist() == [False]
-
-
-@pytest.mark.parametrize("k", (2, 3, 4))
-def test_scan_first_certificate_preserves_k_connectivity(k):
-    graphs = list(sampled_graphs(k)) + [g for _, g, kk, _ in adversarial_graphs(k) if kk == k]
-    for g in graphs:
-        cert = _scan_first_certificate(g, k)
-        assert cert.n == g.n and set(cert.edge_list()) <= set(g.edge_list())
-        assert cert.edge_count() <= k * (g.n - 1)
-        assert (oracle_flow_k_connected(g.n, set(cert.edge_list()), k)
-                == oracle_flow_k_connected(g.n, set(g.edge_list()), k))
 
 
 def test_monotone_under_edge_addition():
